@@ -19,8 +19,8 @@
 //!   slower than ISEGEN, as in the paper.
 //!
 //! All baselines plug into the same whole-application driver
-//! ([`isegen_core::generate_with`]) as ISEGEN, so Fig. 4/6 comparisons are
-//! apples-to-apples.
+//! ([`isegen_core::Generator::finder`]) as ISEGEN, so Fig. 4/6
+//! comparisons are apples-to-apples.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -22,7 +22,7 @@
 //!    Forbidden and ineligible nodes (inputs, memory barriers) never
 //!    merge.
 //! 2. **Searches** the coarsest level with the existing portfolio
-//!    (queue strategy, restart diversification, pooled arenas). A
+//!    (lazy max-gain queue, restart diversification, pooled arenas). A
 //!    supernode's software latency is the sum of its members'; its
 //!    hardware delay is an upper bound on the members' internal
 //!    critical path — so coarse merit *under*-estimates fine merit and
@@ -120,7 +120,7 @@ impl MultilevelConfig {
 }
 
 /// Evidence from one level of the V-cycle, coarsest first — the
-/// substance of `perf_report --strategy multilevel`.
+/// substance of `perf_report --multilevel`.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub struct LevelReport {

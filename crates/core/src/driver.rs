@@ -251,52 +251,6 @@ impl<F: CutFinder + Clone + Send + Sync> Generator<F> {
     }
 }
 
-/// See [`Generator`] — this shim runs
-/// `Generator::new(*config).search(search.clone()).run(app, model)`.
-#[deprecated(note = "use `Generator::new(config).search(search).run(app, model)`")]
-pub fn generate(
-    app: &Application,
-    model: &LatencyModel,
-    config: &IseConfig,
-    search: &SearchConfig,
-) -> IseSelection {
-    let mut finder = IsegenFinder::new(search.clone());
-    let contexts: Vec<BlockContext<'_>> = app
-        .blocks()
-        .iter()
-        .map(|b| BlockContext::new(b, model))
-        .collect();
-    run_sequential_in_contexts(&mut finder, &contexts, config)
-}
-
-/// See [`Generator`] — custom finders plug in via [`Generator::finder`]
-/// (or [`Generator::run_sequential`] for non-`Clone` finders).
-#[deprecated(note = "use `Generator::new(config).finder(finder).run_sequential(app, model)`")]
-pub fn generate_with<F: CutFinder + ?Sized>(
-    finder: &mut F,
-    app: &Application,
-    model: &LatencyModel,
-    config: &IseConfig,
-) -> IseSelection {
-    let contexts: Vec<BlockContext<'_>> = app
-        .blocks()
-        .iter()
-        .map(|b| BlockContext::new(b, model))
-        .collect();
-    run_sequential_in_contexts(finder, &contexts, config)
-}
-
-/// See [`Generator`] — prebuilt contexts go through
-/// [`Generator::run_in_contexts`].
-#[deprecated(note = "use `Generator::new(config).finder(finder).run_in_contexts(contexts)`")]
-pub fn generate_in_contexts<F: CutFinder + ?Sized>(
-    finder: &mut F,
-    contexts: &[BlockContext<'_>],
-    config: &IseConfig,
-) -> IseSelection {
-    run_sequential_in_contexts(finder, contexts, config)
-}
-
 /// The sequential Problem-2 driver under [`Generator`].
 fn run_sequential_in_contexts<F: CutFinder + ?Sized>(
     finder: &mut F,
@@ -350,44 +304,6 @@ fn run_sequential_in_contexts<F: CutFinder + ?Sized>(
         total_sw_cycles,
         saved_cycles,
     }
-}
-
-/// See [`Generator`] — the batched driver is what
-/// [`Generator::run`] uses when [`Generator::threads`] exceeds one.
-#[deprecated(note = "use `Generator::new(config).finder(finder).threads(threads).run(app, model)`")]
-pub fn generate_batched_with<F>(
-    finder: &F,
-    app: &Application,
-    model: &LatencyModel,
-    config: &IseConfig,
-    threads: usize,
-) -> IseSelection
-where
-    F: CutFinder + Clone + Send + Sync,
-{
-    let contexts: Vec<BlockContext<'_>> = app
-        .blocks()
-        .iter()
-        .map(|b| BlockContext::new(b, model))
-        .collect();
-    run_batched_in_contexts(finder, &contexts, config, threads)
-}
-
-/// See [`Generator`] — prebuilt contexts with a thread budget go
-/// through [`Generator::threads`] + [`Generator::run_in_contexts`].
-#[deprecated(
-    note = "use `Generator::new(config).finder(finder).threads(threads).run_in_contexts(contexts)`"
-)]
-pub fn generate_batched_in_contexts<F>(
-    finder: &F,
-    contexts: &[BlockContext<'_>],
-    config: &IseConfig,
-    threads: usize,
-) -> IseSelection
-where
-    F: CutFinder + Clone + Send + Sync,
-{
-    run_batched_in_contexts(finder, contexts, config, threads)
 }
 
 /// The batched Problem-2 driver under [`Generator`]: block searches fan
@@ -499,25 +415,6 @@ where
         total_sw_cycles,
         saved_cycles,
     }
-}
-
-/// See [`Generator`] — this shim runs
-/// `Generator::new(*config).search(search.clone()).threads(threads).run(app, model)`.
-#[deprecated(note = "use `Generator::new(config).search(search).threads(threads).run(app, model)`")]
-pub fn generate_batched(
-    app: &Application,
-    model: &LatencyModel,
-    config: &IseConfig,
-    search: &SearchConfig,
-    threads: usize,
-) -> IseSelection {
-    let finder = IsegenFinder::new(search.clone());
-    let contexts: Vec<BlockContext<'_>> = app
-        .blocks()
-        .iter()
-        .map(|b| BlockContext::new(b, model))
-        .collect();
-    run_batched_in_contexts(&finder, &contexts, config, threads)
 }
 
 /// Total dynamic software latency `Σ_b frequency(b) · software_latency(b)`

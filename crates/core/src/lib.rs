@@ -16,18 +16,16 @@
 //!   a node between software (S) and hardware (H) updates I/O counts,
 //!   critical-path estimates and convexity masks in O(deg) / O(n/64)
 //!   rather than re-deriving them from scratch.
-//! * [`AddendumTable`] — the paper's Fig. 3 per-node ΔI/ΔO addendum
-//!   scheme as a standalone, property-tested artifact (its locality
-//!   claim is verified rather than proven-by-reference).
 //! * [`GainWeights`] / the gain function — the five weighted control
 //!   parameters of §4.2 (merit, I/O penalty, convexity affinity,
-//!   directional growth, independent cuts).
+//!   directional growth, independent cuts), validated at construction
+//!   ([`WeightsError`]).
 //! * [`Search`] — the modified Kernighan–Lin pass structure of Fig. 2,
 //!   served by [`GainCache`]: a dirty-set probe cache that re-evaluates
 //!   only the candidates a committed toggle could have changed, and a
-//!   lazy-decrease max-gain queue ([`SelectionStrategy::Queue`]) that
-//!   replaces the per-commit full scan ([`SearchOutcome`] exposes the
-//!   probes-avoided and queue counters).
+//!   lazy-decrease max-gain queue that replaces the per-commit full
+//!   scan ([`SearchOutcome`] exposes the probes-avoided and queue
+//!   counters).
 //! * [`Generator`] — the whole-application driver (Problem 2): block
 //!   ranking by speedup potential, up to `N_ISE` successive
 //!   bi-partitions, optional reuse of each ISE across all its isomorphic
@@ -62,7 +60,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod addendum;
 mod audit;
 mod cache;
 mod coarsen;
@@ -75,7 +72,6 @@ mod gain;
 mod kl;
 mod speedup;
 
-pub use addendum::AddendumTable;
 pub use audit::AuditReport;
 pub use cache::{CacheStats, GainCache};
 #[doc(hidden)]
@@ -84,20 +80,10 @@ pub use coarsen::{LevelReport, MultilevelConfig, MultilevelReport};
 pub use constraints::IoConstraints;
 pub use context::{BlockContext, ContextData};
 pub use cut::Cut;
-#[allow(deprecated)]
-pub use driver::{
-    generate, generate_batched, generate_batched_in_contexts, generate_batched_with,
-    generate_in_contexts, generate_with,
-};
 pub use driver::{CutFinder, Generator, Ise, IseConfig, IseInstance, IseSelection};
 pub use engine::{EngineArena, Probe, ToggleEngine};
-pub use gain::GainWeights;
+pub use gain::{GainWeights, WeightsError};
 #[doc(hidden)]
 pub use kl::trajectory_commit_trace;
-#[allow(deprecated)]
-pub use kl::{bipartition, bipartition_portfolio, bipartition_profiled, bipartition_with_stats};
-pub use kl::{
-    IsegenFinder, Search, SearchConfig, SearchOutcome, SearchScratch, SelectionStrategy,
-    TrajectoryReport,
-};
+pub use kl::{IsegenFinder, Search, SearchConfig, SearchOutcome, SearchScratch, TrajectoryReport};
 pub use speedup::application_speedup;

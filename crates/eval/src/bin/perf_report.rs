@@ -7,7 +7,7 @@
 //!
 //! 1. **toggle** — committed-toggle throughput of the incremental
 //!    [`ToggleEngine`] on random blocks and the AES block.
-//! 2. **kl** — full `bipartition` wall time plus the gain-cache probe
+//! 2. **kl** — full [`Search`] wall time plus the gain-cache probe
 //!    counters (probes avoided is the cache's win).
 //! 3. **driver** — sequential vs. batched multi-block driver on
 //!    multi-block workloads, with an equality check.
@@ -21,15 +21,14 @@
 //! pins the batched-driver and portfolio thread counts (default:
 //! available parallelism).
 //!
-//! `--strategy multilevel` runs a different report entirely: the
-//! single- vs multi-level (coarsen→K-L→uncoarsen) comparison over every
-//! large/huge-tier registry block, with per-level refinement stats,
-//! written to `BENCH_multilevel.json`.
+//! `--multilevel` runs a different report entirely: the single- vs
+//! multi-level (coarsen→K-L→uncoarsen) comparison over every large/huge-
+//! tier registry block, with per-level refinement stats, written to
+//! `BENCH_multilevel.json`.
 
 use isegen_core::{
     BlockContext, Cut, CutFinder, Generator, IoConstraints, IseConfig, IsegenFinder,
-    MultilevelConfig, MultilevelReport, Search, SearchConfig, SelectionStrategy, ToggleEngine,
-    TrajectoryReport,
+    MultilevelConfig, MultilevelReport, Search, SearchConfig, ToggleEngine, TrajectoryReport,
 };
 use isegen_graph::{NodeId, NodeSet};
 use isegen_ir::{Application, BasicBlock, LatencyModel};
@@ -133,7 +132,7 @@ struct PortfolioRow {
     workload: String,
     nodes: usize,
     threads: usize,
-    /// Plain sequential `bipartition` (the pre-portfolio baseline path).
+    /// Plain sequential `Search::run` (the pre-portfolio baseline path).
     sequential_ms: f64,
     /// Portfolio entry point at threads=1 — its overhead must be noise.
     portfolio1_ms: f64,
@@ -228,18 +227,11 @@ fn bench_toggles(name: &str, block: &BasicBlock, model: &LatencyModel, rounds: u
     }
 }
 
-fn bench_kl(
-    name: &str,
-    block: &BasicBlock,
-    model: &LatencyModel,
-    strategy: SelectionStrategy,
-) -> KlRow {
+fn bench_kl(name: &str, block: &BasicBlock, model: &LatencyModel) -> KlRow {
     let ctx = BlockContext::new(block, model);
     let io = IoConstraints::new(4, 2);
-    let config = SearchConfig::default();
     let start = Instant::now();
-    let config = config.with_strategy(strategy);
-    let outcome = Search::new(config).run(&ctx, io);
+    let outcome = Search::default().run(&ctx, io);
     let (cut, stats) = (outcome.cut, outcome.stats);
     KlRow {
         workload: name.to_string(),
@@ -400,7 +392,7 @@ fn bench_multilevel(
     }
 }
 
-/// The `--strategy multilevel` sweep: single- vs multi-level search on
+/// The `--multilevel` sweep: single- vs multi-level search on
 /// every large/huge-tier block, with per-level stats, written to
 /// `out_path` (committed as `BENCH_multilevel.json`).
 fn multilevel_sweep(threads: usize, out_path: &str) {
@@ -471,12 +463,11 @@ const USAGE: &str = "usage: perf_report [--full] [--threads N] [--out PATH] [--p
   --full               full-size sweeps (CI quick mode is the default)
   --threads N          batched-driver and portfolio thread count
                        (default: available parallelism)
-  --strategy S         queue (default) or scan select the K-L strategy
-                       for the kl sweep; multilevel instead runs the
-                       single- vs multi-level V-cycle sweep over the
-                       large/huge tiers and writes BENCH_multilevel.json
+  --multilevel         instead of the default sweeps, run the single- vs
+                       multi-level V-cycle sweep over the large/huge
+                       tiers and write BENCH_multilevel.json
   --out PATH           JSON report path (default BENCH_kl.json, or
-                       BENCH_multilevel.json with --strategy multilevel)
+                       BENCH_multilevel.json with --multilevel)
   --portfolio-out PATH portfolio report path (default BENCH_portfolio.json)";
 
 /// Prints the problem and the usage to stderr, then exits with code 2 —
@@ -490,7 +481,6 @@ fn main() {
     let mut out_path: Option<String> = None;
     let mut portfolio_out_path = "BENCH_portfolio.json".to_string();
     let mut full = false;
-    let mut strategy = SelectionStrategy::Queue;
     let mut multilevel = false;
     let mut threads = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -511,12 +501,7 @@ fn main() {
                 Some(Ok(n)) if n > 0 => threads = n,
                 _ => usage_error("--threads needs a positive integer"),
             },
-            "--strategy" => match args.next().as_deref() {
-                Some("queue") => strategy = SelectionStrategy::Queue,
-                Some("scan") => strategy = SelectionStrategy::Scan,
-                Some("multilevel") => multilevel = true,
-                _ => usage_error("--strategy needs `queue`, `scan` or `multilevel`"),
-            },
+            "--multilevel" => multilevel = true,
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return;
@@ -552,7 +537,7 @@ fn main() {
             &model,
             toggle_rounds,
         ));
-        kl_rows.push(bench_kl(&name, &app.blocks()[0], &model, strategy));
+        kl_rows.push(bench_kl(&name, &app.blocks()[0], &model));
     }
     // Real kernels come from the registry: the crypto suite up to
     // full-round AES-128 in quick mode, the whole crypto tier in full.
@@ -566,7 +551,7 @@ fn main() {
         let app = spec.application();
         let block = largest_block(&app);
         toggle_rows.push(bench_toggles(spec.name, block, &model, toggle_rounds));
-        kl_rows.push(bench_kl(spec.name, block, &model, strategy));
+        kl_rows.push(bench_kl(spec.name, block, &model));
     }
 
     let mut driver_rows = Vec::new();
@@ -704,13 +689,8 @@ fn main() {
     json.push_str("{\n");
     let _ = writeln!(
         json,
-        "  \"report\": \"isegen perf trajectory\",\n  \"mode\": \"{}\",\n  \"strategy\": \"{}\",\n  \"threads\": {},\n  \"cpus\": {},",
+        "  \"report\": \"isegen perf trajectory\",\n  \"mode\": \"{}\",\n  \"threads\": {},\n  \"cpus\": {},",
         if full { "full" } else { "quick" },
-        match strategy {
-            SelectionStrategy::Queue => "queue",
-            SelectionStrategy::Scan => "scan",
-            _ => "other",
-        },
         threads,
         std::thread::available_parallelism()
             .map(|n| n.get())

@@ -38,16 +38,23 @@ impl Variant {
 
     /// The variant's weights.
     pub fn weights(self) -> GainWeights {
-        let mut w = GainWeights::default();
+        let d = GainWeights::default();
+        let mut w = [
+            d.merit(),
+            d.io_penalty(),
+            d.affinity(),
+            d.growth(),
+            d.independence(),
+        ];
         match self {
             Variant::Full => {}
-            Variant::NoMerit => w.merit = 0.0,
-            Variant::NoIoPenalty => w.io_penalty = 0.0,
-            Variant::NoAffinity => w.affinity = 0.0,
-            Variant::NoGrowth => w.growth = 0.0,
-            Variant::NoIndependence => w.independence = 0.0,
+            Variant::NoMerit => w[0] = 0.0,
+            Variant::NoIoPenalty => w[1] = 0.0,
+            Variant::NoAffinity => w[2] = 0.0,
+            Variant::NoGrowth => w[3] = 0.0,
+            Variant::NoIndependence => w[4] = 0.0,
         }
-        w
+        GainWeights::new(w[0], w[1], w[2], w[3], w[4]).expect("zeroing a default weight is valid")
     }
 
     /// Short label.
@@ -143,8 +150,8 @@ mod tests {
     fn variants_cover_all_components() {
         assert_eq!(Variant::ALL.len(), 6);
         let w = Variant::NoGrowth.weights();
-        assert_eq!(w.growth, 0.0);
-        assert!(w.merit > 0.0);
+        assert_eq!(w.growth(), 0.0);
+        assert!(w.merit() > 0.0);
         assert_eq!(Variant::Full.weights(), GainWeights::default());
     }
 

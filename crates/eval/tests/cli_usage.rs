@@ -50,6 +50,9 @@ fn perf_report_rejects_bad_args_with_exit_2() {
     assert_usage_error(bin, &["--frobnicate"]);
     assert_usage_error(bin, &["--threads", "-1"]);
     assert_usage_error(bin, &["--out"]);
+    // There is no `--strategy` flag; the multilevel sweep is `--multilevel`.
+    assert_usage_error(bin, &["--strategy", "multilevel"]);
+    assert_usage_error(bin, &["--strategy", "scan"]);
 }
 
 #[test]

@@ -68,7 +68,7 @@ pub struct SelectionKey {
     pub(crate) reuse_matching: bool,
     pub(crate) max_passes: usize,
     pub(crate) restarts: usize,
-    /// Gain weights by bit pattern (exact, NaN included).
+    /// Gain weights by bit pattern (exact; `-0.0` and `0.0` differ).
     pub(crate) weights: [u64; 5],
     /// Multilevel knobs `(min_coarse_ops, max_levels, boundary_band)`
     /// when the coarsen→K-L→uncoarsen pipeline is on; `None` keeps
@@ -87,11 +87,11 @@ impl SelectionKey {
             max_passes: search.max_passes,
             restarts: search.restarts,
             weights: [
-                w.merit.to_bits(),
-                w.io_penalty.to_bits(),
-                w.affinity.to_bits(),
-                w.growth.to_bits(),
-                w.independence.to_bits(),
+                w.merit().to_bits(),
+                w.io_penalty().to_bits(),
+                w.affinity().to_bits(),
+                w.growth().to_bits(),
+                w.independence().to_bits(),
             ],
             multilevel: search
                 .multilevel
@@ -551,17 +551,11 @@ mod tests {
             ..base
         };
         assert_ne!(k1, SelectionKey::new(&other, &search));
-        let nan_search = search.clone().with_weights(GainWeights {
-            merit: f64::NAN,
-            ..search.weights
-        });
-        let kn = SelectionKey::new(&base, &nan_search);
-        assert_ne!(k1, kn);
-        assert_eq!(
-            kn,
-            SelectionKey::new(&base, &nan_search),
-            "NaN keys are stable"
-        );
+        let heavy = GainWeights::new(2.0, 50.0, 1.0, 1.0, 0.5).unwrap();
+        let heavy_search = search.clone().with_weights(heavy);
+        let kw = SelectionKey::new(&base, &heavy_search);
+        assert_ne!(k1, kw);
+        assert_eq!(kw, SelectionKey::new(&base, &heavy_search.clone()));
         // Multilevel on/off and each knob must produce distinct keys —
         // a single-level memo must never answer a multilevel request.
         use isegen_core::MultilevelConfig;

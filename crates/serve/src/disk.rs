@@ -17,8 +17,8 @@
 //!
 //! Payloads are tagged (`1` = application, `2` = selection) and encode
 //! everything needed to rebuild the memo bit-for-bit: node sets as id
-//! lists, `f64`s by bit pattern (NaN weights survive), counts as fixed-
-//! width little-endian integers. See [`encode_record`].
+//! lists, `f64`s by bit pattern (signed zeros included), counts as
+//! fixed-width little-endian integers. See [`encode_record`].
 //!
 //! # Recovery guarantees
 //!

@@ -21,10 +21,10 @@
 //!   connection over the shared cache, reusing the batched driver for
 //!   multi-threaded selection when a request asks for it.
 //! * **Panic-proof request path**: hostile input — malformed JSON,
-//!   truncated IR, zero port budgets, NaN weights, unknown hashes,
-//!   megabyte lines — produces structured error responses; a
-//!   `catch_unwind` backstop keeps even a bug from killing the
-//!   connection. Fuzzed in `tests/serve_roundtrip.rs`.
+//!   truncated IR, zero port budgets, non-finite, negative or over-cap
+//!   gain weights, unknown hashes, megabyte lines — produces structured
+//!   error responses; a `catch_unwind` backstop keeps even a bug from
+//!   killing the connection. Fuzzed in `tests/serve_roundtrip.rs`.
 //!
 //! # In-process example
 //!

@@ -39,7 +39,9 @@
 //! `config` members (all optional): `io` (`[inputs, outputs]`),
 //! `max_ises`, `reuse`, `threads`, `portfolio_threads`, `max_passes`,
 //! `restarts`, `weights` (`{"merit":…, "io_penalty":…, "affinity":…,
-//! "growth":…, "independence":…}`) and `multilevel`
+//! "growth":…, "independence":…}`, each finite with magnitude at most
+//! `GainWeights::MAX_MAGNITUDE`, `merit` and `io_penalty` ≥ 0) and
+//! `multilevel`
 //! (`{"min_coarse_ops":…, "max_levels":…, "boundary_band":…}`, each
 //! member optional). Defaults are the paper's headline configuration.
 //! `threads` is the overall driver budget (block waves × intra-block
@@ -255,13 +257,14 @@ pub fn parse_config(config: Option<&Json>) -> Result<RequestConfig, ProtoError> 
             ));
         }
         let d = GainWeights::default();
-        out.search.weights = GainWeights {
-            merit: weight(w, "merit", d.merit)?,
-            io_penalty: weight(w, "io_penalty", d.io_penalty)?,
-            affinity: weight(w, "affinity", d.affinity)?,
-            growth: weight(w, "growth", d.growth)?,
-            independence: weight(w, "independence", d.independence)?,
-        };
+        out.search.weights = GainWeights::new(
+            weight(w, "merit", d.merit())?,
+            weight(w, "io_penalty", d.io_penalty())?,
+            weight(w, "affinity", d.affinity())?,
+            weight(w, "growth", d.growth())?,
+            weight(w, "independence", d.independence())?,
+        )
+        .map_err(|e| ProtoError::new("protocol", format!("config.weights.{e}")))?;
     }
     Ok(out)
 }
@@ -341,10 +344,13 @@ mod tests {
         assert_eq!(cfg.portfolio_threads, 2);
         assert_eq!(cfg.search.max_passes, 2);
         assert_eq!(cfg.search.restarts, 1);
-        assert_eq!(cfg.search.weights.merit, 2.0);
-        assert_eq!(cfg.search.weights.io_penalty, 10.0);
+        assert_eq!(cfg.search.weights.merit(), 2.0);
+        assert_eq!(cfg.search.weights.io_penalty(), 10.0);
         // unspecified weights keep their defaults
-        assert_eq!(cfg.search.weights.affinity, GainWeights::default().affinity);
+        assert_eq!(
+            cfg.search.weights.affinity(),
+            GainWeights::default().affinity()
+        );
         // absent portfolio knob defaults to a sequential portfolio
         let j = json::parse(r#"{"threads":8}"#).unwrap();
         assert_eq!(parse_config(Some(&j)).unwrap().portfolio_threads, 1);
@@ -421,16 +427,31 @@ mod tests {
             r#"{"reuse":"yes"}"#,
             r#"{"weights":{"merit":"big"}}"#,
             r#"{"weights":[1,2,3]}"#,
+            r#"{"weights":{"merit":null}}"#,
+            // GainWeights::new rejects these: negative merit/io_penalty,
+            // non-finite (1e400 parses to +inf) and over-cap values.
+            r#"{"weights":{"merit":-1}}"#,
+            r#"{"weights":{"io_penalty":1e400}}"#,
+            r#"{"weights":{"affinity":-1e400}}"#,
+            r#"{"weights":{"io_penalty":-0.5}}"#,
+            r#"{"weights":{"growth":1e13}}"#,
         ];
         for text in cases {
             let j = json::parse(text).unwrap();
             let err = parse_config(Some(&j)).unwrap_err();
             assert_eq!(err.kind, "protocol", "{text}");
         }
-        // NaN weights are *accepted* — the library is NaN-safe and the
-        // daemon must not be the layer that decides they are wrong.
-        let j = json::parse(r#"{"weights":{"merit":null}}"#).unwrap();
-        assert!(parse_config(Some(&j)).is_err(), "null is not a number");
+        let j = json::parse(r#"{"weights":{"merit":-1}}"#).unwrap();
+        assert_eq!(
+            parse_config(Some(&j)).unwrap_err().message,
+            "config.weights.merit must be >= 0, got -1"
+        );
+        // Zero and negative structural weights are valid.
+        let j = json::parse(r#"{"weights":{"affinity":-2,"growth":0,"independence":-1}}"#).unwrap();
+        assert_eq!(
+            parse_config(Some(&j)).unwrap().search.weights.affinity(),
+            -2.0
+        );
     }
 
     #[test]

@@ -69,7 +69,7 @@ pub use isegen_workloads as workloads;
 pub mod prelude {
     pub use isegen_core::{
         BlockContext, Cut, CutFinder, GainWeights, Generator, IoConstraints, IseConfig,
-        IseSelection, Search, SearchConfig, SearchOutcome, SelectionStrategy,
+        IseSelection, Search, SearchConfig, SearchOutcome,
     };
     pub use isegen_ir::{Application, BasicBlock, BlockBuilder, LatencyModel, Opcode};
     pub use isegen_match::{find_disjoint_instances, Pattern};

@@ -8,18 +8,14 @@
 //! actually *detect* corruption, which `corrupt_entry_for_test`
 //! proves directly.
 
-use isegen::core::{
-    BlockContext, GainCache, IoConstraints, Search, SearchConfig, SelectionStrategy, ToggleEngine,
-};
+use isegen::core::{BlockContext, GainCache, IoConstraints, Search, SearchConfig, ToggleEngine};
 use isegen::graph::NodeId;
 use isegen::ir::LatencyModel;
 use isegen::workloads::{random_application, workload_by_name, RandomWorkloadConfig};
 use proptest::prelude::*;
 
-fn audited(strategy: SelectionStrategy, cadence: usize) -> SearchConfig {
-    SearchConfig::new()
-        .with_strategy(strategy)
-        .with_audit_cadence(cadence)
+fn audited(cadence: usize) -> SearchConfig {
+    SearchConfig::new().with_audit_cadence(cadence)
 }
 
 /// `IsegenAudit` in the environment turns the auditor on for *default*
@@ -32,16 +28,15 @@ fn env_audit() -> bool {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The queue-parity random-DAG cases, re-run under audit cadence 2
-    /// with both strategies: any divergence between the live
-    /// incremental state and the from-scratch rebuild panics inside
-    /// the search, so completing at all asserts zero divergences. The
-    /// audited outcome must also match the unaudited one exactly.
+    /// The queue-parity random-DAG cases, re-run under audit cadence 2:
+    /// any divergence between the live incremental state and the
+    /// from-scratch rebuild panics inside the search, so completing at
+    /// all asserts zero divergences. The audited outcome must also match
+    /// the unaudited one exactly.
     #[test]
     fn audit_is_silent_and_invisible_on_random_dags(
         seed in any::<u64>(),
         ops in 8usize..48,
-        queue in any::<bool>(),
     ) {
         let app = random_application(&RandomWorkloadConfig {
             seed,
@@ -53,10 +48,9 @@ proptest! {
         let model = LatencyModel::paper_default();
         let ctx = BlockContext::new(block, &model);
         let io = IoConstraints::new(4, 2);
-        let strategy = if queue { SelectionStrategy::Queue } else { SelectionStrategy::Scan };
 
-        let plain = Search::new(SearchConfig::new().with_strategy(strategy)).run(&ctx, io);
-        let checked = Search::new(audited(strategy, 2)).run(&ctx, io);
+        let plain = Search::new(SearchConfig::new()).run(&ctx, io);
+        let checked = Search::new(audited(2)).run(&ctx, io);
         prop_assert_eq!(
             checked.cut.merit().to_bits(),
             plain.cut.merit().to_bits(),
@@ -78,28 +72,22 @@ proptest! {
 }
 
 /// A real registry workload at cadence 1 — every commit cross-checked,
-/// for both strategies (the queue path additionally audits heap-stamp
-/// coverage).
+/// heap-stamp coverage of the lazy queue included.
 #[test]
 fn audit_every_commit_on_registry_workload() {
     let spec = workload_by_name("fir00").expect("fir00 in registry");
     let app = spec.application();
     let model = LatencyModel::paper_default();
     let io = IoConstraints::new(4, 2);
-    for strategy in [SelectionStrategy::Scan, SelectionStrategy::Queue] {
-        for block in app.blocks() {
-            let ctx = BlockContext::new(block, &model);
-            let plain = Search::new(SearchConfig::new().with_strategy(strategy)).run(&ctx, io);
-            let checked = Search::new(audited(strategy, 1)).run(&ctx, io);
-            assert_eq!(
-                checked.cut, plain.cut,
-                "{strategy:?}: audit changed the cut"
-            );
-            assert_eq!(
-                checked.stats.audit_checks, checked.stats.commits,
-                "{strategy:?}: cadence 1 must audit every commit"
-            );
-        }
+    for block in app.blocks() {
+        let ctx = BlockContext::new(block, &model);
+        let plain = Search::new(SearchConfig::new()).run(&ctx, io);
+        let checked = Search::new(audited(1)).run(&ctx, io);
+        assert_eq!(checked.cut, plain.cut, "audit changed the cut");
+        assert_eq!(
+            checked.stats.audit_checks, checked.stats.commits,
+            "cadence 1 must audit every commit"
+        );
     }
 }
 

@@ -88,13 +88,14 @@ proptest! {
         }
     }
 
-    /// Hostile weights (NaN/∞) must not open a thread-count-dependent
-    /// path through the merge: NaN merits lose to the incumbent in the
-    /// same order at every thread count.
+    /// The most hostile weights `GainWeights::new` admits — every
+    /// magnitude at the cap, structural terms negated — must not open a
+    /// thread-count-dependent path through the merge.
     #[test]
     fn portfolio_parity_under_hostile_weights(
         seed in any::<u64>(),
         ops in 8usize..40,
+        negate in 0usize..2,
     ) {
         let app = random_application(&RandomWorkloadConfig {
             seed,
@@ -106,17 +107,15 @@ proptest! {
         let model = LatencyModel::paper_default();
         let ctx = BlockContext::new(block, &model);
         let io = IoConstraints::new(4, 2);
-        let config = SearchConfig::new().with_weights(GainWeights {
-            merit: f64::NAN,
-            io_penalty: f64::INFINITY,
-            affinity: f64::NAN,
-            growth: f64::NEG_INFINITY,
-            independence: f64::NAN,
-        });
+        let cap = GainWeights::MAX_MAGNITUDE;
+        let sign = if negate == 1 { -1.0 } else { 1.0 };
+        let weights = GainWeights::new(cap, cap, sign * cap, sign * cap, -sign * cap)
+            .expect("at-cap weights are valid");
+        let config = SearchConfig::new().with_weights(weights);
         let sequential = Search::new(config.clone()).run(&ctx, io).cut;
         for threads in THREAD_COUNTS {
             let parallel = Search::new(config.clone()).threads(threads).run(&ctx, io).cut;
-            prop_assert_eq!(&parallel, &sequential, "NaN-weight divergence at {} threads", threads);
+            prop_assert_eq!(&parallel, &sequential, "at-cap weight divergence at {} threads", threads);
         }
     }
 }
@@ -185,7 +184,7 @@ fn single_block_app_gets_portfolio_budget() {
 #[test]
 fn arena_pool_reuse_is_counted_and_results_unchanged() {
     // The acceptance assertion for "no per-trajectory allocation":
-    // within one sequential bipartition, only the very first trajectory
+    // within one sequential search, only the very first trajectory
     // builds arena buffers; every later trajectory reuses the pooled
     // SearchScratch. Across repeated searches on a warm finder the
     // arenas stay warm (reuses == trajectories).

@@ -1,53 +1,145 @@
 //! The lazy-decrease max-gain queue must be a pure wall-clock
-//! optimisation: [`SelectionStrategy::Queue`] and
-//! [`SelectionStrategy::Scan`] must commit the **same toggles in the
-//! same order** on every trajectory, so cuts, merits and selections are
-//! bit-identical. The scan is the executable specification (strict
-//! improvement, ties to the lowest node index); the queue is checked
-//! against it toggle-for-toggle via `trajectory_commit_trace`.
+//! optimisation: the production search must commit the **same toggles
+//! in the same order** as the paper's literal inner loop, so cuts,
+//! merits and selections are bit-identical.
+//!
+//! The literal loop lives here, as an independent oracle
+//! ([`scan_oracle`]): every step re-probes every unmarked candidate
+//! from scratch ([`ToggleEngine::probe`] + [`GainWeights::combine`]),
+//! commits the strict maximum with ties to the lowest node id, and runs
+//! the same Fig. 2 pass structure. Production commit traces
+//! (`trajectory_commit_trace`) and full-search cuts are checked against
+//! it.
 
 use isegen::core::{
     trajectory_commit_trace, BlockContext, GainWeights, IoConstraints, Search, SearchConfig,
-    SelectionStrategy,
+    ToggleEngine,
 };
-use isegen::graph::NodeSet;
+use isegen::graph::{NodeId, NodeSet};
 use isegen::ir::LatencyModel;
 use isegen::workloads::{random_application, workload_by_name, RandomWorkloadConfig};
 use proptest::prelude::*;
 
-fn scan_config() -> SearchConfig {
-    SearchConfig::new().with_strategy(SelectionStrategy::Scan)
+/// What one oracle trajectory produced: its commit trace, and the best
+/// legal cut it recorded with that cut's merit.
+struct OracleRun {
+    trace: Vec<NodeId>,
+    best: NodeSet,
+    merit: f64,
 }
 
-fn queue_config() -> SearchConfig {
-    SearchConfig::new().with_strategy(SelectionStrategy::Queue)
+/// The paper's Fig. 2 pass loop with a full scan per commit. Starting
+/// from the all-software cut, each pass toggles the max-gain unmarked
+/// free node until every free node is marked, tracking the best legal
+/// cut; the next pass restarts from that cut, and a pass that does not
+/// improve ends the search.
+fn scan_oracle(
+    ctx: &BlockContext<'_>,
+    io: IoConstraints,
+    weights: &GainWeights,
+    max_passes: usize,
+    forbidden: Option<&NodeSet>,
+) -> OracleRun {
+    let n = ctx.node_count();
+    let mut free = ctx.eligible().clone();
+    if let Some(f) = forbidden {
+        free.subtract(f);
+    }
+    let free_nodes: Vec<NodeId> = free.iter().collect();
+    let mut run = OracleRun {
+        trace: Vec::new(),
+        best: NodeSet::new(n),
+        merit: 0.0,
+    };
+    for _ in 0..max_passes {
+        let mut engine = ToggleEngine::from_cut(ctx, run.best.clone());
+        let mut marked = NodeSet::new(n);
+        let mut pass_best: Option<(NodeSet, f64)> = None;
+        loop {
+            // Ascending ids with a strict `>`: ties go to the lowest id.
+            let mut chosen: Option<(f64, NodeId)> = None;
+            for &v in &free_nodes {
+                if marked.contains(v) {
+                    continue;
+                }
+                let g = weights.combine(ctx, io, v, &engine.probe(v));
+                if chosen.is_none_or(|(best, _)| g > best) {
+                    chosen = Some((g, v));
+                }
+            }
+            let Some((_, v)) = chosen else { break };
+            run.trace.push(v);
+            engine.toggle(v);
+            marked.insert(v);
+            let bar = pass_best.as_ref().map_or(run.merit, |&(_, m)| m);
+            if engine.is_legal(io) && engine.merit() > bar {
+                pass_best = Some((engine.cut().clone(), engine.merit()));
+            }
+        }
+        let Some((best, merit)) = pass_best else {
+            break;
+        };
+        run.best = best;
+        run.merit = merit;
+    }
+    run
 }
 
-/// Commit traces and full search outcomes for both strategies must agree.
-fn assert_strategies_agree(
+/// The production commit trace under `weights` must equal the oracle's.
+fn assert_trace_matches(
+    ctx: &BlockContext<'_>,
+    io: IoConstraints,
+    weights: GainWeights,
+    forbidden: Option<&NodeSet>,
+    label: &str,
+) -> OracleRun {
+    let config = SearchConfig::new().with_weights(weights);
+    let oracle = scan_oracle(ctx, io, &weights, config.max_passes, forbidden);
+    assert_eq!(
+        trajectory_commit_trace(ctx, io, &config, forbidden),
+        oracle.trace,
+        "{label}: production committed a different toggle sequence"
+    );
+    oracle
+}
+
+/// Commit traces of both portfolio flavours (the default weights, and
+/// the cohesive flavour with doubled affinity) must match the oracle,
+/// and a single-restart search must return the oracle's better cut.
+fn assert_matches_oracle(
     ctx: &BlockContext<'_>,
     io: IoConstraints,
     forbidden: Option<&NodeSet>,
     label: &str,
 ) {
-    let scan_trace = trajectory_commit_trace(ctx, io, &scan_config(), forbidden);
-    let queue_trace = trajectory_commit_trace(ctx, io, &queue_config(), forbidden);
-    assert_eq!(
-        queue_trace, scan_trace,
-        "{label}: queue committed a different toggle sequence"
-    );
+    let w = GainWeights::default();
+    let cohesive = GainWeights::new(
+        w.merit(),
+        w.io_penalty(),
+        w.affinity() * 2.0,
+        w.growth(),
+        w.independence(),
+    )
+    .expect("doubled default affinity is valid");
+    let base = assert_trace_matches(ctx, io, w, forbidden, label);
+    let cohesive = assert_trace_matches(ctx, io, cohesive, forbidden, label);
+    // The portfolio merge keeps the first strict improvement.
+    let best = if cohesive.merit > base.merit {
+        cohesive
+    } else {
+        base
+    };
 
-    let mut scan_search = Search::new(scan_config());
-    let mut queue_search = Search::new(queue_config());
+    let mut search = Search::new(SearchConfig::new().with_restarts(1));
     if let Some(f) = forbidden {
-        scan_search = scan_search.forbidden(f);
-        queue_search = queue_search.forbidden(f);
+        search = search.forbidden(f);
     }
-    let scan_cut = scan_search.run(ctx, io).cut;
-    let queue = queue_search.run(ctx, io);
+    let cut = search.run(ctx, io).cut;
+    assert_eq!(cut.nodes(), &best.best, "{label}: different cut");
     assert_eq!(
-        queue.cut, scan_cut,
-        "{label}: queue produced a different cut"
+        cut.merit().to_bits(),
+        best.merit.to_bits(),
+        "{label}: different merit"
     );
 }
 
@@ -82,16 +174,17 @@ proptest! {
             }
             f
         });
-        assert_strategies_agree(&ctx, io, forbidden.as_ref(), &format!("seed {seed}"));
+        assert_matches_oracle(&ctx, io, forbidden.as_ref(), &format!("seed {seed}"));
     }
 
-    /// Hostile weights (NaN/∞): the queue must detect the poisoned gain
-    /// and hand the rest of the trajectory to the reference scan, so the
-    /// NaN-ordering semantics of the scan survive verbatim.
+    /// The most hostile weights `GainWeights::new` admits: every
+    /// magnitude at the cap, with the structural terms (which may be
+    /// negative) of either sign. The queue's bounds must stay exact.
     #[test]
     fn queue_matches_scan_under_hostile_weights(
         seed in any::<u64>(),
         ops in 8usize..40,
+        negate in 0usize..2,
     ) {
         let app = random_application(&RandomWorkloadConfig {
             seed,
@@ -103,28 +196,16 @@ proptest! {
         let model = LatencyModel::paper_default();
         let ctx = BlockContext::new(block, &model);
         let io = IoConstraints::new(4, 2);
-        let weights = GainWeights {
-            merit: f64::NAN,
-            io_penalty: f64::INFINITY,
-            affinity: f64::NAN,
-            growth: f64::NEG_INFINITY,
-            independence: f64::NAN,
-        };
-        let scan = SearchConfig::new()
-            .with_strategy(SelectionStrategy::Scan)
-            .with_weights(weights);
-        let queue = SearchConfig::new()
-            .with_strategy(SelectionStrategy::Queue)
-            .with_weights(weights);
-        let scan_trace = trajectory_commit_trace(&ctx, io, &scan, None);
-        let queue_trace = trajectory_commit_trace(&ctx, io, &queue, None);
-        prop_assert_eq!(queue_trace, scan_trace, "NaN-weight divergence (seed {})", seed);
+        let cap = GainWeights::MAX_MAGNITUDE;
+        let sign = if negate == 1 { -1.0 } else { 1.0 };
+        let weights = GainWeights::new(cap, cap, sign * cap, sign * cap, -sign * cap)
+            .expect("at-cap weights are valid");
+        assert_trace_matches(&ctx, io, weights, None, &format!("seed {seed}"));
     }
 }
 
 /// The full-round AES-128 kernel: the largest registry workload the
-/// queue is benchmarked on, and the regression anchor for the
-/// BENCH_kl.json numbers.
+/// queue is benchmarked on.
 #[test]
 fn queue_matches_scan_on_aes128() {
     let spec = workload_by_name("aes128").expect("aes128 in registry");
@@ -137,13 +218,13 @@ fn queue_matches_scan_on_aes128() {
     let model = LatencyModel::paper_default();
     let ctx = BlockContext::new(block, &model);
     let io = IoConstraints::new(4, 2);
-    assert_strategies_agree(&ctx, io, None, "aes128");
+    assert_matches_oracle(&ctx, io, None, "aes128");
 
-    // And the queue must actually be in play, not silently falling back.
-    let outcome = Search::new(queue_config()).run(&ctx, io);
+    // And the queue must actually be in play.
+    let outcome = Search::default().run(&ctx, io);
     assert!(
         outcome.stats.queue_pops > 0,
-        "queue strategy never popped: {:?}",
+        "the queue never popped: {:?}",
         outcome.stats
     );
     assert!(

@@ -354,16 +354,33 @@ fn hostile_requests_get_structured_errors_not_dead_connections() {
                 "{line} → {response}"
             );
         }
-        // NaN weights: the request must *succeed* — the library is
-        // NaN-proof end to end (kl.rs sorts with total_cmp now).
-        let nan = client.raw(
-            r#"{"op":"select","ir":"app a\nblock b freq 5\n  x = in\n  y = in\n  m = mul x y\n  s = add m x\nend\n","config":{"weights":{"merit":1e400,"affinity":-1e400}}}"#,
-        );
-        assert_eq!(
-            nan.get("ok").and_then(Json::as_bool),
-            Some(true),
-            "non-finite weights must not kill the request: {nan}"
-        );
+        // Weights GainWeights::new rejects (non-finite — JSON 1e400 reads
+        // as +inf — negative merit/io_penalty, over the magnitude cap) are
+        // typed protocol errors, and the same connection answers the
+        // next request.
+        let ir = r#""ir":"app a\nblock b freq 5\n  x = in\n  y = in\n  m = mul x y\n  s = add m x\nend\n""#;
+        for weights in [
+            r#"{"merit":1e400,"affinity":-1e400}"#,
+            r#"{"io_penalty":1e400}"#,
+            r#"{"merit":-1}"#,
+            r#"{"io_penalty":-50}"#,
+            r#"{"growth":1e13}"#,
+        ] {
+            let line = format!(r#"{{"op":"select",{ir},"config":{{"weights":{weights}}}}}"#);
+            let rejected = client.raw(&line);
+            assert_eq!(
+                rejected.get("kind").and_then(Json::as_str),
+                Some("protocol"),
+                "{weights} → {rejected}"
+            );
+            let line = format!(r#"{{"op":"select",{ir}}}"#);
+            let next = client.raw(&line);
+            assert_eq!(
+                next.get("ok").and_then(Json::as_bool),
+                Some(true),
+                "connection must survive {weights}: {next}"
+            );
+        }
         // And the connection still works.
         let pong = client.raw(r#"{"op":"ping"}"#);
         assert_eq!(pong.get("op").and_then(Json::as_str), Some("pong"));
