@@ -232,7 +232,7 @@ fn push_entering(
         stamp,
     });
     if t.local_convex {
-        let key = base + weights.merit() * u64::from(ctx.sw_cycles(v)) as f64;
+        let key = base + weights.merit() * f64::from(ctx.sw_cycles(v));
         heap_merit.push(QueueEntry { key, node, stamp });
     }
 }
