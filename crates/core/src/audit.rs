@@ -12,8 +12,8 @@
 //! `IsegenAudit` environment variable (a positive integer: audit every
 //! N-th committed toggle; the config knob wins when both are set). The
 //! disabled path costs one integer compare per commit and performs no
-//! audit work — `CacheStats::audit_checks` stays `0`, which the
-//! `perf_report` spot-check pins.
+//! audit work — `CacheStats::audit_checks` stays `0`, which
+//! `tests/audit_mode.rs` pins.
 
 use std::fmt;
 use std::sync::OnceLock;

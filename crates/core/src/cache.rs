@@ -65,11 +65,6 @@ pub struct CacheStats {
     pub fresh_probes: u64,
     /// Committed toggles routed through the cache.
     pub commits: u64,
-    /// Explicit whole-cache flushes ([`GainCache::invalidate_all`]).
-    /// The commit path never flushes — global probe terms are re-read
-    /// from the engine at recombination time instead — so in a normal
-    /// search this stays `0`.
-    pub full_invalidations: u64,
     /// K-L portfolio trajectories merged into this result.
     pub trajectories: u64,
     /// Trajectory setups served from a warm [`crate::SearchScratch`]
@@ -89,9 +84,9 @@ pub struct CacheStats {
     /// Entries pushed after the initial heap build: dirty-set reinserts
     /// after commits and pop-loop loser restores.
     pub queue_reinsertions: u64,
-    /// Invariant audits executed (zero unless audit mode is on — the
-    /// `perf_report` spot-check pins this to prove the disabled path
-    /// does no audit work).
+    /// Invariant audits executed (zero unless audit mode is on —
+    /// `tests/audit_mode.rs` pins this to prove the disabled path does
+    /// no audit work).
     pub audit_checks: u64,
 }
 
@@ -128,7 +123,6 @@ impl CacheStats {
         self.cached_probes += other.cached_probes;
         self.fresh_probes += other.fresh_probes;
         self.commits += other.commits;
-        self.full_invalidations += other.full_invalidations;
         self.trajectories += other.trajectories;
         self.arena_reuses += other.arena_reuses;
         self.arena_allocs += other.arena_allocs;
@@ -141,7 +135,7 @@ impl CacheStats {
 
 /// The dirty-set gain cache. One instance serves one [`ToggleEngine`]
 /// trajectory; route every committed toggle through
-/// [`GainCache::commit`] so invalidation stays in sync.
+/// [`GainCache::commit_tracked`] so invalidation stays in sync.
 #[derive(Debug)]
 pub struct GainCache {
     entries: Vec<Entry>,
@@ -167,13 +161,6 @@ impl GainCache {
         }
     }
 
-    /// Marks every node dirty (e.g. when the engine was toggled behind
-    /// the cache's back).
-    pub fn invalidate_all(&mut self) {
-        self.stats.full_invalidations += 1;
-        self.dirty.insert_all();
-    }
-
     /// Re-initialises the cache for a block of `n` nodes, reusing the
     /// entry and dirty-set allocations — the arena path of
     /// [`crate::SearchScratch`]. Clears the statistics; absorb
@@ -189,17 +176,10 @@ impl GainCache {
     /// Commits a toggle through the engine and invalidates exactly the
     /// cached probes the commit may have changed (the toggled node's
     /// cones and shared-producer consumers — never the whole cache).
-    /// Returns `true` when the node entered the cut.
-    pub fn commit(&mut self, engine: &mut ToggleEngine<'_, '_>, v: NodeId) -> bool {
-        self.stats.commits += 1;
-        engine.toggle_and_mark(v, &mut self.dirty);
-        engine.cut().contains(v)
-    }
-
-    /// [`GainCache::commit`], additionally leaving this commit's dirty
-    /// delta in `touched` (reset to the cache's capacity first). The lazy
-    /// selection queue uses the delta for targeted reinsertion; the
-    /// cache's own accumulated dirty set absorbs it as usual.
+    /// This commit's dirty delta is left in `touched` (reset to the
+    /// cache's capacity first): the lazy selection queue uses it for
+    /// targeted reinsertion, and the cache's own accumulated dirty set
+    /// absorbs it. Returns `true` when the node entered the cut.
     pub fn commit_tracked(
         &mut self,
         engine: &mut ToggleEngine<'_, '_>,
@@ -421,12 +401,13 @@ mod tests {
 
         let mut engine = ToggleEngine::new(&ctx);
         let mut cache = GainCache::new(n);
+        let mut touched = NodeSet::new(n);
         for &v in &[m1, add, m2, m1, m2] {
             // Warm the cache, commit, then require cached ≡ fresh.
             for &u in &nodes {
                 let _ = cache.probe(&engine, u);
             }
-            cache.commit(&mut engine, v);
+            cache.commit_tracked(&mut engine, v, &mut touched);
             for &u in &nodes {
                 let cached = cache.probe(&engine, u);
                 let fresh = engine.probe(u);
@@ -444,7 +425,6 @@ mod tests {
             cached_probes: 3,
             fresh_probes: 1,
             commits: 2,
-            full_invalidations: 0,
             trajectories: 1,
             arena_reuses: 0,
             arena_allocs: 1,
@@ -457,7 +437,6 @@ mod tests {
             cached_probes: 1,
             fresh_probes: 3,
             commits: 1,
-            full_invalidations: 1,
             trajectories: 2,
             arena_reuses: 2,
             arena_allocs: 0,
@@ -470,7 +449,6 @@ mod tests {
         assert_eq!(a.cached_probes, 4);
         assert_eq!(a.fresh_probes, 4);
         assert_eq!(a.commits, 3);
-        assert_eq!(a.full_invalidations, 1);
         assert_eq!(a.trajectories, 3);
         assert_eq!(a.arena_reuses, 2);
         assert_eq!(a.arena_allocs, 1);
@@ -496,11 +474,12 @@ mod tests {
 
         let mut engine = ToggleEngine::new(&ctx);
         let mut cache = GainCache::new(n);
+        let mut touched = NodeSet::new(n);
         for &u in &nodes {
             let _ = cache.probe(&engine, u);
         }
-        cache.commit(&mut engine, m);
-        cache.commit(&mut engine, a);
+        cache.commit_tracked(&mut engine, m, &mut touched);
+        cache.commit_tracked(&mut engine, a, &mut touched);
         assert!(cache.stats().commits == 2);
 
         // Reset onto a fresh engine: stats cleared, every probe fresh
@@ -513,7 +492,7 @@ mod tests {
         }
         assert_eq!(cache.stats().fresh_probes, nodes.len() as u64);
         assert_eq!(cache.stats().cached_probes, 0);
-        cache.commit(&mut engine, a);
+        cache.commit_tracked(&mut engine, a, &mut touched);
         for &u in &nodes {
             assert_eq!(cache.probe(&engine, u), engine.probe(u));
         }

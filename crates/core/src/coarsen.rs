@@ -40,7 +40,7 @@
 //! multilevel never turns a findable cut into an empty result.
 
 use crate::cache::CacheStats;
-use crate::kl::{portfolio_search, SearchConfig, SearchScratch, TrajectoryReport};
+use crate::kl::{portfolio_search, SearchConfig, SearchScratch};
 use crate::{BlockContext, ContextData, Cut, IoConstraints};
 use isegen_graph::{Contraction, Dag, NodeId, NodeSet};
 use isegen_ir::{BasicBlock, Operation};
@@ -120,7 +120,7 @@ impl MultilevelConfig {
 }
 
 /// Evidence from one level of the V-cycle, coarsest first — the
-/// substance of `perf_report --multilevel`.
+/// per-level rows behind perfbench's `coarsen.*` counters.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub struct LevelReport {
@@ -458,10 +458,10 @@ fn refine_level(
     seed: &NodeSet,
     knobs: &RefineKnobs<'_>,
     pool: &mut Vec<SearchScratch>,
-) -> (Cut, CacheStats, Vec<TrajectoryReport>, LevelReport) {
+) -> (Cut, CacheStats, LevelReport) {
     let t = Instant::now();
     let band = boundary_band(fctx.block().dag(), seed, knobs.ml.boundary_band, ffree);
-    let (cut, stats, reports) = portfolio_search(
+    let (cut, stats) = portfolio_search(
         fctx,
         knobs.io,
         knobs.config,
@@ -479,7 +479,7 @@ fn refine_level(
         refine_pops: stats.queue_pops,
         wall_ms: t.elapsed().as_secs_f64() * 1e3,
     };
-    (cut, stats, reports, report)
+    (cut, stats, report)
 }
 
 /// The multilevel V-cycle: coarsen, search the coarsest level with the
@@ -494,19 +494,13 @@ pub(crate) fn multilevel_search(
     free: &NodeSet,
     threads: usize,
     pool: &mut Vec<SearchScratch>,
-) -> (
-    Cut,
-    CacheStats,
-    Vec<TrajectoryReport>,
-    Option<MultilevelReport>,
-) {
+) -> (Cut, CacheStats, Option<MultilevelReport>) {
     let ml = ml.normalized();
     let t0 = Instant::now();
     let levels = build_hierarchy(ctx, free, &ml);
     let coarsen_wall_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     let mut stats = CacheStats::default();
-    let mut reports = Vec::new();
     let mut level_reports: Vec<LevelReport> = Vec::new();
     let mut final_cut = Cut::empty(ctx.node_count());
 
@@ -525,10 +519,9 @@ pub(crate) fn multilevel_search(
         };
         let t = Instant::now();
         let tctx = BlockContext::with_data(&top.block, Arc::clone(&top.data));
-        let (coarse_cut, s, r) =
+        let (coarse_cut, s) =
             portfolio_search(&tctx, io, &coarse_config, &top.free, threads, pool, None);
         stats.absorb(s);
-        reports.extend(r);
         level_reports.push(LevelReport {
             nodes: top.block.node_count(),
             free_ops: top.free.len(),
@@ -549,7 +542,7 @@ pub(crate) fn multilevel_search(
         let mut cur = coarse_cut.nodes().clone();
         for i in (0..levels.len()).rev() {
             let seed = levels[i].contraction.project(&cur);
-            let (refined, s, r, lr) = if i == 0 {
+            let (refined, s, lr) = if i == 0 {
                 refine_level(ctx, free, &seed, &knobs, pool)
             } else {
                 let finer = &levels[i - 1];
@@ -557,7 +550,6 @@ pub(crate) fn multilevel_search(
                 refine_level(&fctx, &finer.free, &seed, &knobs, pool)
             };
             stats.absorb(s);
-            reports.extend(r);
             level_reports.push(lr);
             // An empty refinement keeps projecting the raw seed: a cut
             // that is illegal at this granularity may still legalize at
@@ -578,9 +570,8 @@ pub(crate) fn multilevel_search(
     // plain single-level search.
     let fell_back = final_cut.is_empty();
     if fell_back {
-        let (cut, s, r) = portfolio_search(ctx, io, config, free, threads, pool, None);
+        let (cut, s) = portfolio_search(ctx, io, config, free, threads, pool, None);
         stats.absorb(s);
-        reports.extend(r);
         final_cut = cut;
     }
 
@@ -589,7 +580,7 @@ pub(crate) fn multilevel_search(
         coarsen_wall_ms,
         fell_back,
     };
-    (final_cut, stats, reports, Some(report))
+    (final_cut, stats, Some(report))
 }
 
 /// Test scaffolding for the coarsen→project round-trip property: builds
@@ -611,7 +602,7 @@ pub fn roundtrip_audit(
     let mut pool = Vec::new();
     for (idx, level) in levels.iter().enumerate() {
         let lctx = BlockContext::with_data(&level.block, Arc::clone(&level.data));
-        let (cut, _, _) = portfolio_search(&lctx, io, &config, &level.free, 1, &mut pool, None);
+        let (cut, _) = portfolio_search(&lctx, io, &config, &level.free, 1, &mut pool, None);
         if cut.is_empty() {
             continue;
         }

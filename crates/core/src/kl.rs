@@ -7,7 +7,6 @@ use crate::{BlockContext, Cut, GainWeights, IoConstraints, ToggleEngine};
 use isegen_graph::{NodeId, NodeSet};
 use std::collections::BinaryHeap;
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// Knobs of the modified Kernighan–Lin search (paper Fig. 2).
 ///
@@ -351,24 +350,6 @@ fn beats(g: f64, v: NodeId, best: Option<(f64, NodeId)>) -> bool {
     best.is_none_or(|(bg, bid)| g > bg || (g == bg && v.index() < bid.index()))
 }
 
-/// Timing and outcome of one portfolio trajectory, reported by a
-/// [`Search::profiled`] run — the per-trajectory evidence of the perf
-/// reports.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TrajectoryReport {
-    /// Gain flavour: `"base"` (configured weights) or `"cohesive"`
-    /// (double affinity).
-    pub flavour: &'static str,
-    /// Forced first toggle (restart diversification), if any.
-    pub seed: Option<NodeId>,
-    /// Wall time of the trajectory, in milliseconds.
-    pub wall_ms: f64,
-    /// Merit of the trajectory's best cut.
-    pub merit: f64,
-    /// Probe statistics of this trajectory alone.
-    pub stats: CacheStats,
-}
-
 /// One entry of the search portfolio: a gain flavour plus an optional
 /// forced first toggle and an optional starting cut (multilevel
 /// refinement seeds the trajectory from a projected coarse cut instead
@@ -383,8 +364,8 @@ struct TrajectorySpec<'s> {
 }
 
 /// Everything one [`Search`] run produced: the best cut, the merged
-/// probe/queue statistics of the whole portfolio, and — when the search
-/// ran profiled — one report per trajectory.
+/// probe/queue statistics of the whole portfolio, and the V-cycle
+/// evidence when the multilevel pipeline ran.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub struct SearchOutcome {
@@ -394,9 +375,6 @@ pub struct SearchOutcome {
     /// Gain-cache probe and queue statistics merged over every
     /// trajectory (all weight flavours and restarts).
     pub stats: CacheStats,
-    /// Per-trajectory wall times and statistics; empty unless the
-    /// search was built with [`Search::profiled`].
-    pub reports: Vec<TrajectoryReport>,
     /// Per-level V-cycle evidence when the multilevel pipeline actually
     /// ran (the block exceeded [`MultilevelConfig::min_coarse_ops`] free
     /// nodes under a [`SearchConfig::with_multilevel`] config); `None`
@@ -440,17 +418,15 @@ pub struct Search {
     config: SearchConfig,
     threads: usize,
     forbidden: Option<NodeSet>,
-    profile: bool,
 }
 
 impl Search {
-    /// A sequential, unprofiled search with the given configuration.
+    /// A sequential search with the given configuration.
     pub fn new(config: SearchConfig) -> Self {
         Search {
             config,
             threads: 1,
             forbidden: None,
-            profile: false,
         }
     }
 
@@ -465,13 +441,6 @@ impl Search {
     /// claimed by earlier ISEs). The set is cloned into the builder.
     pub fn forbidden(mut self, forbidden: &NodeSet) -> Self {
         self.forbidden = Some(forbidden.clone());
-        self
-    }
-
-    /// Collects per-trajectory reports into
-    /// [`SearchOutcome::reports`] (off by default — the reports allocate).
-    pub fn profiled(mut self, profile: bool) -> Self {
-        self.profile = profile;
         self
     }
 
@@ -495,7 +464,7 @@ impl Search {
         io: IoConstraints,
         pool: &mut Vec<SearchScratch>,
     ) -> SearchOutcome {
-        let (cut, stats, reports, multilevel) = search_impl(
+        let (cut, stats, multilevel) = search_impl(
             ctx,
             io,
             &self.config,
@@ -506,7 +475,6 @@ impl Search {
         SearchOutcome {
             cut,
             stats,
-            reports: if self.profile { reports } else { Vec::new() },
             multilevel,
         }
     }
@@ -524,12 +492,7 @@ fn search_impl(
     forbidden: Option<&NodeSet>,
     threads: usize,
     pool: &mut Vec<SearchScratch>,
-) -> (
-    Cut,
-    CacheStats,
-    Vec<TrajectoryReport>,
-    Option<MultilevelReport>,
-) {
+) -> (Cut, CacheStats, Option<MultilevelReport>) {
     let n = ctx.node_count();
     // Nodes the search may toggle: eligible and not forbidden.
     let mut free = ctx.eligible().clone();
@@ -537,15 +500,15 @@ fn search_impl(
         free.subtract(f);
     }
     if free.is_empty() {
-        return (Cut::empty(n), CacheStats::default(), Vec::new(), None);
+        return (Cut::empty(n), CacheStats::default(), None);
     }
     if let Some(ml) = config.multilevel {
         if free.len() > ml.min_coarse_ops.max(1) {
             return multilevel_search(ctx, io, config, &ml, &free, threads, pool);
         }
     }
-    let (cut, stats, reports) = portfolio_search(ctx, io, config, &free, threads, pool, None);
-    (cut, stats, reports, None)
+    let (cut, stats) = portfolio_search(ctx, io, config, &free, threads, pool, None);
+    (cut, stats, None)
 }
 
 /// One single-level portfolio run over an explicit free set: the weight
@@ -561,11 +524,11 @@ pub(crate) fn portfolio_search(
     threads: usize,
     pool: &mut Vec<SearchScratch>,
     start: Option<&NodeSet>,
-) -> (Cut, CacheStats, Vec<TrajectoryReport>) {
+) -> (Cut, CacheStats) {
     let n = ctx.node_count();
     let mut stats = CacheStats::default();
     if free.is_empty() {
-        return (Cut::empty(n), stats, Vec::new());
+        return (Cut::empty(n), stats);
     }
     let free_nodes: Vec<NodeId> = free.iter().collect();
 
@@ -605,26 +568,14 @@ pub(crate) fn portfolio_search(
     // first strict improvement — exactly the comparison sequence of the
     // sequential scan, whatever the thread count.
     let mut best_cut = Cut::empty(n);
-    let mut reports = Vec::with_capacity(results.len());
-    for (spec, (cut, traj_stats, wall_ms)) in specs.iter().zip(results) {
+    for (cut, traj_stats) in results {
         stats.absorb(traj_stats);
-        reports.push(TrajectoryReport {
-            flavour: spec.flavour,
-            seed: spec.seed,
-            wall_ms,
-            merit: cut.merit(),
-            stats: traj_stats,
-        });
         if cut.merit() > best_cut.merit() {
             best_cut = cut;
         }
     }
-    (best_cut, stats, reports)
+    (best_cut, stats)
 }
-
-/// A finished trajectory: its best cut, its probe statistics, and its
-/// wall time in milliseconds.
-type TrajectoryResult = (Cut, CacheStats, f64);
 
 /// Executes every spec, inline on one scratch when `threads <= 1`, else
 /// on scoped worker threads dealing specs from an atomic cursor
@@ -638,7 +589,7 @@ fn run_trajectories(
     specs: &[TrajectorySpec<'_>],
     threads: usize,
     pool: &mut Vec<SearchScratch>,
-) -> Vec<TrajectoryResult> {
+) -> Vec<(Cut, CacheStats)> {
     let workers = threads.max(1).min(specs.len());
     if pool.len() < workers {
         pool.resize_with(workers, SearchScratch::default);
@@ -707,8 +658,7 @@ fn run_trajectory(
     spec: &TrajectorySpec<'_>,
     scratch: &mut SearchScratch,
     mut trace: Option<&mut Vec<NodeId>>,
-) -> TrajectoryResult {
-    let start = Instant::now();
+) -> (Cut, CacheStats) {
     let n = ctx.node_count();
     let config = spec.config;
     let weights = &config.weights;
@@ -1008,7 +958,7 @@ fn run_trajectory(
         }
     }
     scratch.arena = engine.into_arena();
-    (best_cut, stats, start.elapsed().as_secs_f64() * 1e3)
+    (best_cut, stats)
 }
 
 /// Runs a single trajectory with the given flavour weights and no
@@ -1189,7 +1139,7 @@ impl CutFinder for IsegenFinder {
         threads: usize,
     ) -> Cut {
         let threads = threads.max(self.portfolio_threads);
-        let (cut, stats, _, _) =
+        let (cut, stats, _) =
             search_impl(ctx, io, &self.config, forbidden, threads, &mut self.pool);
         if let Ok(mut acc) = self.stats.lock() {
             acc.absorb(stats);

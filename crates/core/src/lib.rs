@@ -85,5 +85,5 @@ pub use engine::{EngineArena, Probe, ToggleEngine};
 pub use gain::{GainWeights, WeightsError};
 #[doc(hidden)]
 pub use kl::trajectory_commit_trace;
-pub use kl::{IsegenFinder, Search, SearchConfig, SearchOutcome, SearchScratch, TrajectoryReport};
+pub use kl::{IsegenFinder, Search, SearchConfig, SearchOutcome, SearchScratch};
 pub use speedup::application_speedup;

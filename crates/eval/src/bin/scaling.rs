@@ -97,10 +97,10 @@ fn run_workload(spec: &WorkloadSpec, threads: usize, portfolio: usize, multileve
     };
 
     // Multilevel gate: each *search* under the pipeline reaches ≥ the
-    // single-level merit (that bound is what BENCH_multilevel.json
-    // records), but the driver composes many searches greedily and a
-    // better individual cut can reshape what is left for later
-    // iterations — greedy totals are not monotone in per-cut merit. The
+    // single-level merit, but the driver composes many searches
+    // greedily and a better individual cut can reshape what is left for
+    // later iterations — greedy totals are not monotone in per-cut
+    // merit. The
     // gate therefore allows 3% slack on total saved cycles: enough to
     // absorb composition effects, tight enough that a fell-back or
     // empty multilevel selection still fails the job.

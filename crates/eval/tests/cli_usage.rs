@@ -45,17 +45,6 @@ fn scaling_rejects_bad_args_with_exit_2() {
 }
 
 #[test]
-fn perf_report_rejects_bad_args_with_exit_2() {
-    let bin = env!("CARGO_BIN_EXE_perf_report");
-    assert_usage_error(bin, &["--frobnicate"]);
-    assert_usage_error(bin, &["--threads", "-1"]);
-    assert_usage_error(bin, &["--out"]);
-    // There is no `--strategy` flag; the multilevel sweep is `--multilevel`.
-    assert_usage_error(bin, &["--strategy", "multilevel"]);
-    assert_usage_error(bin, &["--strategy", "scan"]);
-}
-
-#[test]
 fn ised_client_rejects_bad_args_with_exit_2() {
     let bin = env!("CARGO_BIN_EXE_ised_client");
     assert_usage_error(bin, &["--frobnicate"]);
@@ -95,7 +84,6 @@ fn fleet_soak_rejects_bad_args_with_exit_2() {
 fn help_goes_to_stdout_with_exit_0() {
     for bin in [
         env!("CARGO_BIN_EXE_scaling"),
-        env!("CARGO_BIN_EXE_perf_report"),
         env!("CARGO_BIN_EXE_ised_client"),
         env!("CARGO_BIN_EXE_verify_report"),
         env!("CARGO_BIN_EXE_fleet_soak"),

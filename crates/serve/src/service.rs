@@ -452,7 +452,6 @@ impl Service {
                     ("cached_probes", s.cached_probes.into()),
                     ("probes_avoided_pct", (s.avoided_fraction() * 100.0).into()),
                     ("commits", s.commits.into()),
-                    ("full_invalidations", s.full_invalidations.into()),
                     ("trajectories", s.trajectories.into()),
                     ("arena_reuses", s.arena_reuses.into()),
                     ("arena_allocs", s.arena_allocs.into()),

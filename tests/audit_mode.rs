@@ -9,7 +9,7 @@
 //! proves directly.
 
 use isegen::core::{BlockContext, GainCache, IoConstraints, Search, SearchConfig, ToggleEngine};
-use isegen::graph::NodeId;
+use isegen::graph::{NodeId, NodeSet};
 use isegen::ir::LatencyModel;
 use isegen::workloads::{random_application, workload_by_name, RandomWorkloadConfig};
 use proptest::prelude::*;
@@ -107,10 +107,11 @@ fn corrupted_cache_entry_is_detected() {
     let n = ctx.node_count();
     let mut engine = ToggleEngine::new(&ctx);
     let mut cache = GainCache::new(n);
+    let mut touched = NodeSet::new(n);
 
     // Move a node into the cut, then probe everything clean.
     let first = ctx.eligible().iter().next().expect("an eligible node");
-    cache.commit(&mut engine, first);
+    cache.commit_tracked(&mut engine, first, &mut touched);
     for i in 0..n {
         let _ = cache.probe(&engine, NodeId::from_index(i));
     }

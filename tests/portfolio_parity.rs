@@ -214,10 +214,10 @@ fn arena_pool_reuse_is_counted_and_results_unchanged() {
 
     // A warm pool carries across calls: second search allocates nothing.
     let mut pool = Vec::new();
-    let profiled = Search::new(config.clone()).threads(1).profiled(true);
-    let first = profiled.run_pooled(&ctx, io, &mut pool).cut;
-    let warm = profiled.run_pooled(&ctx, io, &mut pool);
-    let (second, stats2, reports) = (warm.cut, warm.stats, warm.reports);
+    let search = Search::new(config.clone()).threads(1);
+    let first = search.run_pooled(&ctx, io, &mut pool).cut;
+    let warm = search.run_pooled(&ctx, io, &mut pool);
+    let (second, stats2) = (warm.cut, warm.stats);
     assert_eq!(first, cut);
     assert_eq!(second, cut);
     assert_eq!(
@@ -225,10 +225,6 @@ fn arena_pool_reuse_is_counted_and_results_unchanged() {
         "warm pool must not allocate: {stats2:?}"
     );
     assert_eq!(stats2.arena_reuses, stats2.trajectories);
-    assert_eq!(reports.len() as u64, stats2.trajectories);
-    assert!(reports.iter().any(|r| r.flavour == "base"));
-    assert!(reports.iter().any(|r| r.flavour == "cohesive"));
-    assert!(reports.iter().all(|r| r.wall_ms >= 0.0));
 }
 
 #[test]

@@ -209,8 +209,7 @@ fn daemon_matches_library_path_and_serves_from_cache() {
             "16 vectors × ≥1 ISE × 2 workloads: {stats}"
         );
         // The computed selections must have reported their K-L search
-        // counters: portfolio trajectories ran, arenas were pooled, and
-        // the precision invalidation never flushed the gain cache.
+        // counters: portfolio trajectories ran and arenas were pooled.
         let search = stats.get("search").expect("search stats object");
         let skey = |k: &str| search.get(k).and_then(Json::as_u64).unwrap_or(0);
         assert!(skey("trajectories") > 0, "no trajectories counted: {stats}");
@@ -218,11 +217,6 @@ fn daemon_matches_library_path_and_serves_from_cache() {
         assert!(
             skey("arena_reuses") > 0,
             "arena pool was never reused: {stats}"
-        );
-        assert_eq!(
-            skey("full_invalidations"),
-            0,
-            "a commit flushed the gain cache: {stats}"
         );
         // Under the lazy-queue selector the cache's job is to make gain
         // evaluations *rare*, not to serve a giant stream of them: only
