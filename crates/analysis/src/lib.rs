@@ -84,9 +84,10 @@ use std::fmt;
 
 /// How bad a finding is.
 ///
-/// `Error` findings gate `lint_report` (exit 1) and mean the block
-/// violates a structural precondition of the search; `Warning` findings
-/// are legal-but-suspicious constructs.
+/// `Error` findings mean the block violates a structural precondition
+/// of the search, and no registry workload may raise one
+/// (`tests/analysis_lint.rs`); `Warning` findings are
+/// legal-but-suspicious constructs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Severity {
     /// Legal input, but almost certainly not what the author meant.

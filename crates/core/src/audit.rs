@@ -10,11 +10,13 @@
 //!
 //! Enable it with [`crate::SearchConfig::with_audit_cadence`] or the
 //! `IsegenAudit` environment variable (a positive integer: audit every
-//! N-th committed toggle; the config knob wins when both are set). The
+//! N-th committed toggle; a value that is not an integer panics; the
+//! config knob wins when both are set). The
 //! disabled path costs one integer compare per commit and performs no
 //! audit work — `CacheStats::audit_checks` stays `0`, which
 //! `tests/audit_mode.rs` pins.
 
+use std::env::VarError;
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -51,15 +53,25 @@ impl fmt::Display for AuditReport {
     }
 }
 
-/// The `IsegenAudit` cadence, read once per process.
+/// The `IsegenAudit` cadence, read once per process; unset means 0.
 fn env_cadence() -> usize {
     static CADENCE: OnceLock<usize> = OnceLock::new();
-    *CADENCE.get_or_init(|| {
-        std::env::var("IsegenAudit")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .unwrap_or(0)
+    *CADENCE.get_or_init(|| match std::env::var("IsegenAudit") {
+        Ok(value) => parse_cadence(&value),
+        Err(VarError::NotPresent) => 0,
+        Err(VarError::NotUnicode(value)) => {
+            panic!("IsegenAudit={value:?} is not a non-negative integer")
+        }
     })
+}
+
+/// Parses an `IsegenAudit` value. A typo must not silently run the
+/// search unaudited, so anything but a non-negative integer panics.
+fn parse_cadence(value: &str) -> usize {
+    value
+        .trim()
+        .parse()
+        .unwrap_or_else(|_| panic!("IsegenAudit={value:?} is not a non-negative integer"))
 }
 
 /// Resolves the effective audit cadence: the explicit
@@ -71,5 +83,22 @@ pub(crate) fn effective_cadence(config_cadence: usize) -> usize {
         config_cadence
     } else {
         env_cadence()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_cadence;
+
+    #[test]
+    fn cadence_parses_integers() {
+        assert_eq!(parse_cadence("8"), 8);
+        assert_eq!(parse_cadence(" 0 "), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "IsegenAudit=\"8x\"")]
+    fn cadence_rejects_a_typo() {
+        parse_cadence("8x");
     }
 }

@@ -34,36 +34,12 @@ fn assert_usage_error(bin: &str, args: &[&str]) {
 }
 
 #[test]
-fn scaling_rejects_bad_args_with_exit_2() {
-    let bin = env!("CARGO_BIN_EXE_scaling");
-    assert_usage_error(bin, &["--frobnicate"]);
-    assert_usage_error(bin, &["--tier"]);
-    assert_usage_error(bin, &["--tier", "enormous"]);
-    assert_usage_error(bin, &["--threads", "many"]);
-    assert_usage_error(bin, &["--threads", "0"]);
-    assert_usage_error(bin, &["--out"]);
-}
-
-#[test]
 fn ised_client_rejects_bad_args_with_exit_2() {
     let bin = env!("CARGO_BIN_EXE_ised_client");
     assert_usage_error(bin, &["--frobnicate"]);
     assert_usage_error(bin, &[]); // --addr is required
     assert_usage_error(bin, &["--addr"]);
     assert_usage_error(bin, &["--addr", "x", "--threads", "0"]);
-}
-
-#[test]
-fn verify_report_rejects_bad_args_with_exit_2() {
-    let bin = env!("CARGO_BIN_EXE_verify_report");
-    assert_usage_error(bin, &["--frobnicate"]);
-    assert_usage_error(bin, &["--tier"]);
-    assert_usage_error(bin, &["--tier", "enormous"]);
-    assert_usage_error(bin, &["--vectors"]);
-    assert_usage_error(bin, &["--vectors", "0"]);
-    assert_usage_error(bin, &["--vectors", "many"]);
-    assert_usage_error(bin, &["--seed", "-1"]);
-    assert_usage_error(bin, &["--out"]);
 }
 
 #[test]
@@ -83,9 +59,7 @@ fn fleet_soak_rejects_bad_args_with_exit_2() {
 #[test]
 fn help_goes_to_stdout_with_exit_0() {
     for bin in [
-        env!("CARGO_BIN_EXE_scaling"),
         env!("CARGO_BIN_EXE_ised_client"),
-        env!("CARGO_BIN_EXE_verify_report"),
         env!("CARGO_BIN_EXE_fleet_soak"),
     ] {
         let (code, stdout, _) = run(bin, &["--help"]);

@@ -19,7 +19,8 @@
 //!   the generated *text* is executed, not just inspected.
 //! * [`verify`] — the three-way differential harness
 //!   (`ir::interp` ⇔ `Netlist::evaluate` ⇔ Verilog-sim) behind the
-//!   `ised` `verify` op and the `verify_report` corpus gate.
+//!   `ised` `verify` op and the registry sweep in
+//!   `tests/rtl_equivalence.rs`.
 //! * [`emit_testbench`] — a self-checking testbench for external
 //!   simulators, stimulus and expectations baked in.
 //!

@@ -22,7 +22,7 @@
 //!
 //! [`verify_cut`] checks one cut; [`verify_selection`] sweeps a whole
 //! [`IseSelection`] — the engine behind the `ised` `verify` op and the
-//! `verify_report` corpus gate.
+//! registry sweep in `tests/rtl_equivalence.rs`.
 
 use crate::sim::{self, SimError, VerilogModule};
 use crate::{emit_verilog, Netlist, RtlError};

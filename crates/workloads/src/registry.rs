@@ -42,8 +42,8 @@ impl Category {
     }
 }
 
-/// Size band of a workload's critical block, the unit CI and the
-/// `scaling` binary use to bound what they run.
+/// Size band of a workload's critical block, the unit the tests use to
+/// bound what they run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum SizeTier {
     /// Fewer than 100 operations — instant even in debug builds.

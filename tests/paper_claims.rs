@@ -57,9 +57,9 @@ fn five_passes_suffice() {
 /// §2: every ISEGEN cut on every paper workload satisfies both
 /// Problem-1 constraints (I/O and convexity) at the paper's (4,2)
 /// setting. (The expansion corpus's large/huge tiers are covered by the
-/// release-mode `scaling` gate and `tests/workloads_suite.rs` — a debug
-/// K-L sweep over 2000-op blocks does not belong in a paper-claims
-/// test.)
+/// release-mode ignored test in `tests/golden.rs` and
+/// `tests/workloads_suite.rs` — a debug K-L sweep over 2000-op blocks
+/// does not belong in a paper-claims test.)
 #[test]
 fn problem1_constraints_always_hold() {
     let model = LatencyModel::paper_default();

@@ -7,8 +7,9 @@
 //! interpreter, the structural netlist simulator, and the
 //! parsed-and-executed emitted Verilog *text* must agree bit-for-bit on
 //! random stimulus. The sweep covers the complete small + medium tiers
-//! of the workload registry — every kernel the CI scaling gate selects
-//! ISEs for also has its emitted RTL executed and checked here.
+//! of the workload registry: every kernel `tests/golden.rs` pins at
+//! tier 1 also has its emitted RTL executed and checked here. Run under
+//! `IsegenAudit=8` it is also the audited end-to-end search smoke.
 //!
 //! Stimulus volume follows `PROPTEST_CASES` (the same knob the vendored
 //! proptest shim honours), so CI pins it and local runs can crank it.

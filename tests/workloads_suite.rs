@@ -1,10 +1,12 @@
 //! Per-workload smoke tests over the whole registry: every entry —
 //! paper suite, expansion kernels and synthetics alike — must be a
-//! well-formed, convex-searchable DAG, the corpus must meet the scale
-//! floors the scaling gate depends on, and the batched driver must stay
-//! byte-identical to the sequential driver on the new workloads. A
-//! malformed kernel fails here, in tier 1, not in a CI benchmark.
+//! well-formed, convex-searchable DAG, the corpus must meet its scale
+//! floors, and the batched and portfolio-parallel drivers must stay
+//! byte-identical to the sequential driver on the small and medium
+//! tiers. A malformed kernel fails here, in tier 1, not in a CI
+//! benchmark.
 
+use isegen::core::IsegenFinder;
 use isegen::graph::{NodeSet, TopoOrder};
 use isegen::ir::Opcode;
 use isegen::prelude::*;
@@ -131,22 +133,37 @@ fn every_registry_entry_is_a_well_formed_searchable_dag() {
     }
 }
 
-/// The scaling gate's core invariant at tier-1 speed: sequential and
-/// batched drivers agree byte-for-byte on the small tier (every thread
-/// count) and the medium tier. The paper's AES is covered separately in
-/// `batched_driver.rs`; the release-mode `scaling` binary extends the
-/// check to the large/huge tiers in CI.
+/// Sequential, batched and portfolio-parallel drivers agree
+/// byte-for-byte on the small tier (every thread count) and the medium
+/// tier. The paper's AES is covered separately in `batched_driver.rs`
+/// and `portfolio_parity.rs`; the ignored large/huge test in
+/// `golden.rs` holds the batched driver on the big tiers.
 #[test]
 fn batched_driver_is_identical_on_the_small_tier() {
+    assert_drivers_agree(SizeTier::Small, &[1, 2, 4]);
+}
+
+#[test]
+fn batched_driver_is_identical_on_the_medium_tier() {
+    assert_drivers_agree(SizeTier::Medium, &[2, 4]);
+}
+
+/// Every workload of `tier` except `aes`: the batched driver at each of
+/// `threads`, and the sequential driver with 4 intra-block portfolio
+/// threads, against the sequential driver.
+fn assert_drivers_agree(tier: SizeTier, threads: &[usize]) {
     let model = LatencyModel::paper_default();
     let config = IseConfig::paper_default();
     let search = SearchConfig::default();
-    for spec in workloads_in_tiers(&[SizeTier::Small]) {
+    for spec in workloads_in_tiers(&[tier]) {
+        if spec.name == "aes" {
+            continue;
+        }
         let app = spec.application();
         let sequential = Generator::new(config)
             .search(search.clone())
             .run(&app, &model);
-        for threads in [1usize, 2, 4] {
+        for &threads in threads {
             let batched = Generator::new(config)
                 .search(search.clone())
                 .threads(threads)
@@ -157,26 +174,13 @@ fn batched_driver_is_identical_on_the_small_tier() {
                 spec.name
             );
         }
-    }
-}
-
-#[test]
-fn batched_driver_is_identical_on_the_medium_tier() {
-    let model = LatencyModel::paper_default();
-    let config = IseConfig::paper_default();
-    let search = SearchConfig::default();
-    for spec in workloads_in_tiers(&[SizeTier::Medium]) {
-        if spec.name == "aes" {
-            continue; // covered by batched_driver.rs at three thread counts
-        }
-        let app = spec.application();
-        let sequential = Generator::new(config)
-            .search(search.clone())
+        let portfolio = Generator::new(config)
+            .finder(IsegenFinder::new(search.clone()).with_portfolio_threads(4))
             .run(&app, &model);
-        let batched = Generator::new(config)
-            .search(search.clone())
-            .threads(2)
-            .run(&app, &model);
-        assert_eq!(batched, sequential, "{}: batched diverged", spec.name);
+        assert_eq!(
+            portfolio, sequential,
+            "{}: portfolio-parallel search diverged at 4 threads",
+            spec.name
+        );
     }
 }
