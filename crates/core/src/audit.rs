@@ -2,11 +2,12 @@
 //!
 //! The K-L inner loop lives or dies by its incremental bookkeeping: the
 //! [`crate::ToggleEngine`]'s incidence sets and hull masks, the
-//! [`crate::GainCache`]'s recombined probes, and the lazy selection
-//! queue's stamp discipline. Audit mode re-derives all of it from
-//! scratch at a configurable commit cadence and fails loudly — with a
-//! structured [`AuditReport`] naming every diverging field — the moment
-//! the incremental state disagrees with ground truth.
+//! [`crate::GainCache`]'s recombined probes, and the selection queue's
+//! addressable heaps (heap property, `pos` map, membership and keys).
+//! Audit mode re-derives all of it from scratch at a configurable
+//! commit cadence and fails loudly — with a structured [`AuditReport`]
+//! naming every diverging field — the moment the incremental state
+//! disagrees with ground truth.
 //!
 //! Enable it with [`crate::SearchConfig::with_audit_cadence`] or the
 //! `IsegenAudit` environment variable (a positive integer: audit every

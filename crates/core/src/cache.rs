@@ -46,6 +46,18 @@ struct Entry {
     through: f64,
 }
 
+impl Entry {
+    fn entering_terms(&self) -> EnteringTerms {
+        EnteringTerms {
+            di: self.di,
+            dout: self.dout,
+            neighbors_in_cut: self.neighbors_in_cut,
+            local_convex: self.local_convex,
+            through: self.through,
+        }
+    }
+}
+
 const CLEAN_SLATE: Entry = Entry {
     entering: true,
     di: 0,
@@ -73,16 +85,13 @@ pub struct CacheStats {
     /// Trajectory setups that had to build their arena buffers fresh
     /// (at most one per portfolio worker per process in steady state).
     pub arena_allocs: u64,
-    /// Lazy-queue entries popped during max-gain selection (including
-    /// superseded and already-marked entries discarded unexamined).
-    pub queue_pops: u64,
-    /// Live popped entries re-validated against the exact cached gain —
-    /// the only gain evaluations the queue's entering side performs per
-    /// step. The queue's win condition is this staying ≪
+    /// Heap slots visited by the selection walk. Every visited slot but
+    /// a skipped sole violator costs one exact cached-gain evaluation,
+    /// so the queue's win condition is this staying ≪
     /// candidates-per-commit.
-    pub queue_stale_revalidations: u64,
-    /// Entries pushed after the initial heap build: dirty-set reinserts
-    /// after commits and pop-loop loser restores.
+    pub queue_pops: u64,
+    /// Re-keys after commits: one per unmarked entering candidate in a
+    /// commit's dirty delta.
     pub queue_reinsertions: u64,
     /// Invariant audits executed (zero unless audit mode is on —
     /// `tests/audit_mode.rs` pins this to prove the disabled path does
@@ -91,7 +100,7 @@ pub struct CacheStats {
 }
 
 /// The cached per-node gain terms of an entering candidate, as returned
-/// by [`GainCache::entering_terms`] — the raw material of the lazy
+/// by [`GainCache::entering_terms`] — the raw material of the
 /// selection queue's frame-free heap keys.
 #[derive(Debug, Clone, Copy)]
 pub struct EnteringTerms {
@@ -127,7 +136,6 @@ impl CacheStats {
         self.arena_reuses += other.arena_reuses;
         self.arena_allocs += other.arena_allocs;
         self.queue_pops += other.queue_pops;
-        self.queue_stale_revalidations += other.queue_stale_revalidations;
         self.queue_reinsertions += other.queue_reinsertions;
         self.audit_checks += other.audit_checks;
     }
@@ -177,8 +185,8 @@ impl GainCache {
     /// cached probes the commit may have changed (the toggled node's
     /// cones and shared-producer consumers — never the whole cache).
     /// This commit's dirty delta is left in `touched` (reset to the
-    /// cache's capacity first): the lazy selection queue uses it for
-    /// targeted reinsertion, and the cache's own accumulated dirty set
+    /// cache's capacity first): the selection queue re-keys exactly
+    /// those nodes, and the cache's own accumulated dirty set
     /// absorbs it. Returns `true` when the node entered the cut.
     pub fn commit_tracked(
         &mut self,
@@ -275,7 +283,7 @@ impl GainCache {
     /// The cached per-node terms of an **entering** node's gain —
     /// everything in the recombination that is *not* a global engine
     /// count or latency — refreshed from a live probe first if `v` is
-    /// dirty. The lazy selection queue builds its frame-free heap keys
+    /// dirty. The selection queue builds its frame-free heap keys
     /// from these: together with the per-step global offsets they bound
     /// the exact [`GainCache::gain`] from above.
     pub fn entering_terms(&mut self, engine: &ToggleEngine<'_, '_>, v: NodeId) -> EnteringTerms {
@@ -286,13 +294,15 @@ impl GainCache {
         }
         let e = self.entries[v.index()];
         debug_assert!(e.entering, "key terms are entering-only");
-        EnteringTerms {
-            di: e.di,
-            dout: e.dout,
-            neighbors_in_cut: e.neighbors_in_cut,
-            local_convex: e.local_convex,
-            through: e.through,
-        }
+        e.entering_terms()
+    }
+
+    /// The cached [`EnteringTerms`] of `v` without probing or counting:
+    /// `None` when `v` is dirty or cached as a leaving candidate. Audit
+    /// mode checks the selection queue's keys against these.
+    pub(crate) fn cached_entering_terms(&self, v: NodeId) -> Option<EnteringTerms> {
+        let e = &self.entries[v.index()];
+        (e.entering && !self.dirty.contains(v)).then(|| e.entering_terms())
     }
 
     /// Probe-count statistics accumulated so far.
@@ -429,7 +439,6 @@ mod tests {
             arena_reuses: 0,
             arena_allocs: 1,
             queue_pops: 4,
-            queue_stale_revalidations: 1,
             queue_reinsertions: 2,
             audit_checks: 1,
         };
@@ -441,7 +450,6 @@ mod tests {
             arena_reuses: 2,
             arena_allocs: 0,
             queue_pops: 6,
-            queue_stale_revalidations: 2,
             queue_reinsertions: 3,
             audit_checks: 1,
         };
@@ -453,7 +461,6 @@ mod tests {
         assert_eq!(a.arena_reuses, 2);
         assert_eq!(a.arena_allocs, 1);
         assert_eq!(a.queue_pops, 10);
-        assert_eq!(a.queue_stale_revalidations, 3);
         assert_eq!(a.queue_reinsertions, 5);
         assert_eq!(a.audit_checks, 2);
         assert!((a.avoided_fraction() - 0.5).abs() < 1e-12);

@@ -700,7 +700,7 @@ impl<'c, 'a> ToggleEngine<'c, 'a> {
     /// while it is unchanged between two commits, `entering_gate(v)` is
     /// unchanged for **every** node. Violator sets of ≥ 2 nodes collapse
     /// to one signature — the gate is `false` for all nodes regardless of
-    /// which nodes violate. The lazy selection queue reads this each
+    /// which nodes violate. The selection queue reads this each
     /// step to pick the heap whose gate assumption is live (and, for a
     /// sole violator, which node to evaluate outside the heaps).
     #[inline]

@@ -31,8 +31,8 @@ use isegen_graph::NodeId;
 /// differences and the structural terms act as directional tie-breakers.
 ///
 /// Weights are validated once, at construction ([`GainWeights::new`]),
-/// so every gain the search computes is a finite number — the lazy
-/// max-gain queue's upper bounds rest on that.
+/// so every gain the search computes is a finite number — the max-gain
+/// selection queue's upper bounds rest on that.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GainWeights {
     merit: f64,
@@ -113,7 +113,7 @@ impl GainWeights {
     pub const MAX_MAGNITUDE: f64 = 1e12;
 
     /// Validates a weight set. Rejects non-finite values, a negative
-    /// `merit` or `io_penalty` (the lazy queue bounds the hinged
+    /// `merit` or `io_penalty` (the selection queue bounds the hinged
     /// violation and merit terms from above, which needs both weights to
     /// enter with a non-negative sign), and any magnitude above
     /// [`GainWeights::MAX_MAGNITUDE`]. `affinity`, `growth` and

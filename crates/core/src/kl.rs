@@ -3,9 +3,9 @@ use crate::coarsen::{multilevel_search, MultilevelConfig, MultilevelReport};
 use crate::driver::{deal_indexed, CutFinder};
 use crate::engine::EngineArena;
 use crate::gain::gain_of;
+use crate::keyheap::{Frontier, KeyHeap};
 use crate::{BlockContext, Cut, GainWeights, IoConstraints, ToggleEngine};
 use isegen_graph::{NodeId, NodeSet};
-use std::collections::BinaryHeap;
 use std::sync::{Arc, Mutex};
 
 /// Knobs of the modified Kernighan–Lin search (paper Fig. 2).
@@ -111,8 +111,9 @@ impl SearchConfig {
 
 /// A reusable per-worker search arena: every buffer a K-L trajectory
 /// needs — the [`ToggleEngine`] node sets, the [`GainCache`] entry
-/// table, the mark set and the pass-best snapshot buffer — pooled so
-/// that trajectory setup is a reset, not an allocation.
+/// table, the mark set, the selection heaps and the pass-best snapshot
+/// buffer — pooled so that trajectory setup is a reset, not an
+/// allocation.
 ///
 /// One scratch serves one worker thread; it is reset between
 /// trajectories and between *blocks* (buffers resize to each block,
@@ -125,20 +126,20 @@ pub struct SearchScratch {
     cache: GainCache,
     marked: NodeSet,
     best_nodes: NodeSet,
-    /// Lazy max-gain queue over the entering candidates of the pass,
-    /// keyed by the frame-free *base* key (I/O-linearised violation +
-    /// affinity + growth; no merit) — the exact gain ordering whenever
-    /// the convexity gate is closed.
-    heap_base: BinaryHeap<QueueEntry>,
+    /// Max-gain queue over the unmarked entering candidates of the
+    /// pass, keyed by the frame-free *base* key (I/O-linearised
+    /// violation + affinity + growth; no merit) — the exact gain
+    /// ordering whenever the convexity gate is closed.
+    heap_base: KeyHeap,
     /// The cone-locally-convex candidates again, keyed base +
     /// `w_merit · sw(v)` — consulted alongside `heap_base` whenever the
     /// gate is open, with the latency frame applied as a per-step
     /// offset.
-    heap_merit: BinaryHeap<QueueEntry>,
-    /// Per-node insertion stamps; a popped entry whose stamp is behind
-    /// the node's current stamp has been superseded and is discarded.
-    /// One stamp covers a node's entries in *both* heaps.
-    stamps: Vec<u32>,
+    heap_merit: KeyHeap,
+    /// Frontiers of the two best-first selection walks, kept only so
+    /// that a step allocates nothing.
+    frontier_base: Frontier,
+    frontier_merit: Frontier,
     /// Dirty delta of the latest commit ([`GainCache::commit_tracked`]).
     touched: NodeSet,
     /// The cut at pass start; unmarked candidates never change side
@@ -146,10 +147,6 @@ pub struct SearchScratch {
     start_cut: NodeSet,
     /// Free leaving candidates of the pass (pass-start cut ∩ free).
     leave_list: Vec<NodeId>,
-    /// Popped-but-losing entries `(key, node, from_merit_heap)` restored
-    /// verbatim to their heap at step end (their keys are frame-free, so
-    /// a losing pop never re-keys anything).
-    requeue: Vec<(f64, u32, bool)>,
     warm: bool,
 }
 
@@ -160,45 +157,10 @@ impl SearchScratch {
     }
 }
 
-/// One lazy-queue entry. `key` is *frame-free*: it folds only the
-/// node's cached per-node terms ([`EnteringTerms`]), never a global
-/// count or latency — those enter as exact per-step offsets at pop
-/// time ([`StepFrame`]). A key therefore goes stale only when its
-/// node's cache entry changes, and every such node is re-keyed by the
-/// commit that dirtied it. Max-heap order is key-descending with ties
-/// to the **lowest** node id, mirroring the literal scan's tie-break.
-#[derive(Debug, Clone, Copy)]
-struct QueueEntry {
-    key: f64,
-    node: u32,
-    stamp: u32,
-}
-
-impl PartialEq for QueueEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-
-impl Eq for QueueEntry {}
-
-impl Ord for QueueEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key
-            .total_cmp(&other.key)
-            .then_with(|| other.node.cmp(&self.node))
-    }
-}
-
-impl PartialOrd for QueueEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Keys entering candidate `v` from its cached [`EnteringTerms`] and
-/// pushes it, tagged with `stamp`, onto the heaps. The keys are
-/// frame-free:
+/// The keys of entering candidate `v` in the two selection heaps. A
+/// key is *frame-free*: it folds only `v`'s cached [`EnteringTerms`],
+/// never a global count or latency — those enter as exact per-step
+/// offsets at selection time ([`StepFrame`]).
 ///
 /// * `base` — `−w_io·(ΔI+ΔO) + w_a·N(v,C) + w_g·growth(v)`: the gain
 ///   with the violation hinges *linearised* and every global count
@@ -212,28 +174,90 @@ impl PartialOrd for QueueEntry {
 ///
 /// Requires `w_io ≥ 0` and `w_m ≥ 0`, which [`GainWeights::new`]
 /// guarantees; the per-node-signed terms fold into the key.
-fn push_entering(
-    heap_base: &mut BinaryHeap<QueueEntry>,
-    heap_merit: &mut BinaryHeap<QueueEntry>,
+fn entering_keys(
     ctx: &BlockContext<'_>,
     weights: &GainWeights,
     v: NodeId,
     t: &EnteringTerms,
-    stamp: u32,
-) {
-    let node = v.index() as u32;
+) -> (f64, Option<f64>) {
     let base = -(weights.io_penalty() * (t.di + t.dout) as f64)
         + weights.affinity() * t.neighbors_in_cut as f64
         + weights.growth() * ctx.growth_score(v);
-    heap_base.push(QueueEntry {
-        key: base,
-        node,
-        stamp,
-    });
-    if t.local_convex {
-        let key = base + weights.merit() * f64::from(ctx.sw_cycles(v));
-        heap_merit.push(QueueEntry { key, node, stamp });
+    let merit = t
+        .local_convex
+        .then(|| base + weights.merit() * f64::from(ctx.sw_cycles(v)));
+    (base, merit)
+}
+
+/// Inserts or re-keys entering candidate `v` in both heaps, taking it
+/// out of the merit heap when its cached terms are no longer cone-locally convex.
+fn rekey_entering(
+    heap_base: &mut KeyHeap,
+    heap_merit: &mut KeyHeap,
+    ctx: &BlockContext<'_>,
+    weights: &GainWeights,
+    v: NodeId,
+    t: &EnteringTerms,
+) {
+    let node = v.index() as u32;
+    let (base, merit) = entering_keys(ctx, weights, v, t);
+    heap_base.set(node, base);
+    match merit {
+        Some(key) => heap_merit.set(node, key),
+        None => heap_merit.remove(node),
     }
+}
+
+/// Audit-mode check of the selection queue: both heaps are sound
+/// ([`KeyHeap::audit`]), the base heap holds exactly the unmarked
+/// entering candidates and the merit heap exactly those whose cached
+/// terms are cone-locally convex, each at the key its cached terms give.
+fn audit_queue(
+    ctx: &BlockContext<'_>,
+    weights: &GainWeights,
+    cache: &GainCache,
+    [base, merit]: [&KeyHeap; 2],
+    free_nodes: &[NodeId],
+    start_cut: &NodeSet,
+    marked: &NodeSet,
+) -> Vec<String> {
+    let mut out = base.audit("base");
+    out.extend(merit.audit("merit"));
+    let mut members = [0, 0];
+    for &u in free_nodes {
+        if start_cut.contains(u) || marked.contains(u) {
+            continue;
+        }
+        let node = u.index() as u32;
+        let Some(t) = cache.cached_entering_terms(u) else {
+            out.push(format!(
+                "queue: entering candidate n{node} has no clean cached terms"
+            ));
+            continue;
+        };
+        let (key_base, key_merit) = entering_keys(ctx, weights, u, &t);
+        for (i, name, heap, want) in [
+            (0, "base", base, Some(key_base)),
+            (1, "merit", merit, key_merit),
+        ] {
+            members[i] += usize::from(want.is_some());
+            let got = heap.key(node);
+            if got.map(f64::to_bits) != want.map(f64::to_bits) {
+                out.push(format!(
+                    "{name} heap: n{node} keyed {got:?}, cached terms give {want:?}"
+                ));
+            }
+        }
+    }
+    for (heap, name, want) in [(base, "base", members[0]), (merit, "merit", members[1])] {
+        if heap.len() != want {
+            out.push(format!(
+                "{name} heap: {} slots for {want} members",
+                heap.len()
+            ));
+        }
+    }
+    out
 }
 
 /// The per-step global frame: exact offsets that turn a frame-free key
@@ -323,25 +347,6 @@ impl HingeSlack {
         self.dout = self.dout.max(f64::from(-t.dout));
         self.through = self.through.max(t.through);
     }
-}
-
-/// Pops dead entries (stale stamp, or node already toggled this pass)
-/// off `heap`, counting each pop, and returns the live top.
-fn live_top(
-    heap: &mut BinaryHeap<QueueEntry>,
-    stamps: &[u32],
-    marked: &NodeSet,
-    pops: &mut u64,
-) -> Option<QueueEntry> {
-    while let Some(&top) = heap.peek() {
-        let node = NodeId::from_index(top.node as usize);
-        if top.stamp == stamps[top.node as usize] && !marked.contains(node) {
-            return Some(top);
-        }
-        heap.pop();
-        *pops += 1;
-    }
-    None
 }
 
 /// Whether gain `g` of node `v` beats the incumbent: strictly higher,
@@ -609,8 +614,9 @@ fn run_trajectories(
 /// gain is recombined from cached local terms in O(1). The cached gains
 /// are bit-identical to fresh probes (`tests/gain_cache_prop.rs`).
 ///
-/// The per-commit argmax is served by a lazy max-gain heap pair
-/// instead of the paper's literal scan over every unmarked candidate.
+/// The per-commit argmax is served by a pair of addressable max-heaps
+/// ([`KeyHeap`]) instead of the paper's literal scan over every
+/// unmarked candidate.
 /// [`GainWeights::new`] guarantees finite weights with non-negative
 /// violation and merit weights, so every gain is finite and every heap
 /// bound is sound. Exactness rests on three invariants:
@@ -621,20 +627,23 @@ fn run_trajectories(
 ///   few free *leaving* candidates (pass-start cut ∩ free) are scanned
 ///   exactly each step.
 /// * **Frame-free keys.** Heap keys fold only per-node cached terms
-///   ([`push_entering`]); the global counts and latencies enter as an
+///   ([`entering_keys`]); the global counts and latencies enter as an
 ///   exact per-step offset ([`StepFrame`]) recomputed from the live
-///   engine at every selection. A key therefore goes stale only when
-///   its node's cache entry changes — and the commit that dirties a
-///   node immediately re-keys it — so no amount of global movement
-///   ever invalidates the heaps. `key + offset + slack` bounds the
-///   true gain from above, where the slack covers the two hinge
-///   nonlinearities ([`HingeSlack`]): it is exactly zero once the cut
-///   is deep enough in violation and the hardware path has passed the
-///   tallest candidate, i.e. on almost every step of a pass. The pop
-///   loop re-validates each popped entry against the exact cached
-///   gain, stops as soon as the active bounds cannot beat the
-///   incumbent, and restores losers verbatim at step end (their keys
-///   are still current), so the heaps never livelock.
+///   engine at every selection. A key therefore changes only when its
+///   node's cache entry does, and the commit that dirties a node sifts
+///   its slots in place, so each heap holds at most one slot per
+///   unmarked candidate, always at its current key, and no amount of
+///   global movement ever invalidates it. `key + offset + slack` bounds the true gain from
+///   above, where the slack covers the two hinge nonlinearities
+///   ([`HingeSlack`]): it is exactly zero once the cut is deep enough
+///   in violation and the hardware path has passed the tallest
+///   candidate, i.e. on almost every step of a pass. Selection walks
+///   the heap trees best-first, evaluates each visited slot's exact
+///   cached gain, and stops once no frontier root's bound can beat the
+///   incumbent: a child's key never exceeds its parent's and the bound
+///   rises with the key, so that prunes exactly the subtrees that
+///   cannot win. Nothing is popped; the heaps change only on re-keys
+///   and commits.
 /// * **Gate-split heaps.** The entering convexity gate depends only on
 ///   (#violators clamped to 2, the sole violator's id), and it affects
 ///   a gain in exactly one way: the merit term is zeroed when the gate
@@ -648,8 +657,9 @@ fn run_trajectories(
 ///
 /// The result is toggle-for-toggle identical to the literal scan, ties
 /// to the lowest node id included — `tests/queue_parity.rs` checks
-/// every commit against an independent scan oracle — at
-/// O((dirty + pops) · log n) per commit instead of O(free).
+/// every commit against an independent scan oracle. A commit costs
+/// O(dirty · log n) for the in-place re-keys plus O(visited · log
+/// visited) for the walk, instead of O(free) probes.
 fn run_trajectory(
     ctx: &BlockContext<'_>,
     io: IoConstraints,
@@ -699,11 +709,11 @@ fn run_trajectory(
     let best_nodes = &mut scratch.best_nodes;
     let heap_base = &mut scratch.heap_base;
     let heap_merit = &mut scratch.heap_merit;
-    let stamps = &mut scratch.stamps;
+    let frontier_base = &mut scratch.frontier_base;
+    let frontier_merit = &mut scratch.frontier_merit;
     let touched = &mut scratch.touched;
     let start_cut = &mut scratch.start_cut;
     let leave_list = &mut scratch.leave_list;
-    let requeue = &mut scratch.requeue;
 
     // Invariant-audit cadence; the disabled path is one integer compare
     // per commit.
@@ -733,17 +743,15 @@ fn run_trajectory(
                 leave_list.push(v);
             }
         }
-        heap_base.clear();
-        heap_merit.clear();
-        stamps.clear();
-        stamps.resize(n, 0);
+        heap_base.reset(n);
+        heap_merit.reset(n);
         for &v in free_nodes {
             if start_cut.contains(v) {
                 continue;
             }
             let t = cache.entering_terms(&engine, v);
             hinges.absorb(&t);
-            push_entering(heap_base, heap_merit, ctx, weights, v, &t, 0);
+            rekey_entering(heap_base, heap_merit, ctx, weights, v, &t);
         }
 
         for _ in 0..free_nodes.len() {
@@ -769,13 +777,13 @@ fn run_trajectory(
                 // gate-closed for everyone). A sole violator is the
                 // one node whose merit survives a closed gate: if it
                 // is an entering candidate, evaluate it exactly here
-                // and skip its base-heap entries below.
+                // and skip its base-heap slot below.
                 let sig = engine.gate_signature();
-                let mut special: Option<NodeId> = None;
+                let mut special: Option<u32> = None;
                 if sig.0 == 1 {
                     let x = NodeId::from_index(sig.1 as usize);
                     if free.contains(x) && !marked.contains(x) && !start_cut.contains(x) {
-                        special = Some(x);
+                        special = Some(x.index() as u32);
                         let g = cache.gain(&engine, weights, io, x);
                         if beats(g, x, best) {
                             best = Some((g, x));
@@ -784,92 +792,46 @@ fn run_trajectory(
                 }
                 let frame = StepFrame::new(&engine, weights, io, &hinges);
                 let use_merit = sig.0 == 0;
-                // The popped-but-undefeated incumbent's heap entry,
-                // restored verbatim if it is later dethroned.
-                let mut parked: Option<(f64, u32, bool)> = None;
-                // Pop entering candidates while some consulted bound
-                // can still beat the incumbent. Every live key is
-                // current (commits immediately re-key their dirty
-                // delta), so losers restore verbatim at step end — the
-                // deferred flush is what prevents a pop/requeue
-                // livelock within the step.
+                // Walk the consulted heaps best-first, always visiting
+                // the frontier slot with the higher bound (base wins
+                // ties), until no bound left can beat the incumbent.
+                let mut walk_base = heap_base.walk(frontier_base);
+                let mut walk_merit = heap_merit.walk(frontier_merit);
                 loop {
-                    // Skim dead tops (stale stamp or already toggled)
-                    // off each consulted heap, then race the two live
-                    // bounds; base wins ties so the choice is
-                    // deterministic.
-                    let mut b_base = None;
-                    while let Some(top) = live_top(heap_base, stamps, marked, &mut stats.queue_pops)
-                    {
-                        if special != Some(NodeId::from_index(top.node as usize)) {
-                            b_base = Some(frame.bound(top.key, false));
-                            break;
-                        }
-                        // Already judged exactly above; keep it keyed.
-                        heap_base.pop();
+                    if walk_base.peek().is_some_and(|(_, u)| Some(u) == special) {
+                        // Already judged exactly above; its subtree
+                        // still has to be walked.
+                        walk_base.next();
                         stats.queue_pops += 1;
-                        requeue.push((top.key, top.node, false));
                     }
-                    let b_merit = if use_merit {
-                        live_top(heap_merit, stamps, marked, &mut stats.queue_pops)
-                            .map(|top| frame.bound(top.key, true))
-                    } else {
-                        None
-                    };
-                    let from_merit = match (b_base, b_merit) {
+                    let b_base = walk_base.peek().map(|(k, _)| frame.bound(k, false));
+                    let b_merit = walk_merit
+                        .peek()
+                        .filter(|_| use_merit)
+                        .map(|(k, _)| frame.bound(k, true));
+                    let (bound, walk) = match (b_base, b_merit) {
                         (None, None) => break,
-                        (Some(_), None) => false,
-                        (None, Some(_)) => true,
-                        (Some(b), Some(m)) => m > b,
+                        (Some(b), Some(m)) if m > b => (m, &mut walk_merit),
+                        (Some(b), _) => (b, &mut walk_base),
+                        (None, Some(m)) => (m, &mut walk_merit),
                     };
-                    let bound = if from_merit { b_merit } else { b_base }.unwrap();
-                    if let Some((bg, _)) = best {
-                        // `bound` dominates every consulted heap, and
-                        // each unmarked entering candidate has a live
-                        // entry in a consulted heap whose bound
-                        // dominates its true gain — nothing left can
-                        // win or tie.
-                        if bound < bg {
-                            break;
-                        }
+                    // A child's key never exceeds its parent's and the
+                    // bound rises with the key, so `bound` dominates
+                    // every slot left in a consulted heap; each
+                    // unmarked entering candidate has a slot there
+                    // whose bound dominates its true gain — nothing
+                    // left can win or tie.
+                    if best.is_some_and(|(bg, _)| bound < bg) {
+                        break;
                     }
-                    let top = if from_merit {
-                        heap_merit.pop().expect("live top just peeked")
-                    } else {
-                        heap_base.pop().expect("live top just peeked")
-                    };
+                    let Some((_, u)) = walk.next() else { break };
                     stats.queue_pops += 1;
-                    stats.queue_stale_revalidations += 1;
-                    let node = NodeId::from_index(top.node as usize);
+                    let node = NodeId::from_index(u as usize);
                     let g = cache.gain(&engine, weights, io, node);
                     if beats(g, node, best) {
-                        if let Some(p) = parked.take() {
-                            requeue.push(p);
-                        }
-                        parked = Some((top.key, top.node, from_merit));
                         best = Some((g, node));
-                    } else {
-                        requeue.push((top.key, top.node, from_merit));
                     }
                 }
-                // Losers (and a dethroned incumbent) rejoin their heaps
-                // verbatim: their keys fold only per-node cached terms,
-                // all still current. The winner is about to be
-                // committed and marked, so it stays out.
-                for &(key, node, from_merit) in requeue.iter() {
-                    let entry = QueueEntry {
-                        key,
-                        node,
-                        stamp: stamps[node as usize],
-                    };
-                    if from_merit {
-                        heap_merit.push(entry);
-                    } else {
-                        heap_base.push(entry);
-                    }
-                    stats.queue_reinsertions += 1;
-                }
-                requeue.clear();
                 chosen = best.map(|(_, v)| v);
             }
             let Some(v) = chosen else { break };
@@ -878,8 +840,10 @@ fn run_trajectory(
             }
             cache.commit_tracked(&mut engine, v, touched);
             marked.insert(v);
+            heap_base.remove(v.index() as u32);
+            heap_merit.remove(v.index() as u32);
             // Targeted re-key: exactly the commit's dirty delta is
-            // refreshed and re-stamped; every clean entry's key is
+            // refreshed and sifted in place; every clean slot's key is
             // still current because keys fold no global state.
             // Word-level pre-mask: the dirty set is dominated by
             // already-committed cut members (leave-term coverage),
@@ -893,9 +857,7 @@ fn run_trajectory(
                     let u = NodeId::from_index(wi * 64 + b);
                     let t = cache.entering_terms(&engine, u);
                     hinges.absorb(&t);
-                    let s = &mut stamps[u.index()];
-                    *s = s.wrapping_add(1);
-                    push_entering(heap_base, heap_merit, ctx, weights, u, &t, *s);
+                    rekey_entering(heap_base, heap_merit, ctx, weights, u, &t);
                     stats.queue_reinsertions += 1;
                 }
             });
@@ -903,24 +865,15 @@ fn run_trajectory(
             if audit_every != 0 && commits_done.is_multiple_of(audit_every) {
                 let mut divergences = engine.audit_divergences();
                 divergences.extend(cache.audit_divergences(&engine));
-                // Queue stamp consistency: every unmarked entering
-                // candidate must be covered by a live (current-stamp)
-                // base-heap entry, or selection would silently skip it.
-                let mut covered = vec![false; n];
-                for e in heap_base.iter() {
-                    let i = e.node as usize;
-                    if i < n && e.stamp == stamps[i] {
-                        covered[i] = true;
-                    }
-                }
-                for &u in free_nodes {
-                    if !start_cut.contains(u) && !marked.contains(u) && !covered[u.index()] {
-                        divergences.push(format!(
-                            "queue: entering candidate n{} has no live heap entry",
-                            u.index()
-                        ));
-                    }
-                }
+                divergences.extend(audit_queue(
+                    ctx,
+                    weights,
+                    cache,
+                    [&*heap_base, &*heap_merit],
+                    free_nodes,
+                    start_cut,
+                    marked,
+                ));
                 cache.note_audit();
                 if !divergences.is_empty() {
                     panic!(

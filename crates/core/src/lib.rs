@@ -22,8 +22,8 @@
 //!   ([`WeightsError`]).
 //! * [`Search`] — the modified Kernighan–Lin pass structure of Fig. 2,
 //!   served by [`GainCache`]: a dirty-set probe cache that re-evaluates
-//!   only the candidates a committed toggle could have changed, and a
-//!   lazy-decrease max-gain queue that replaces the per-commit full
+//!   only the candidates a committed toggle could have changed, and
+//!   addressable max-gain heaps that replace the per-commit full
 //!   scan ([`SearchOutcome`] exposes the probes-avoided and queue
 //!   counters).
 //! * [`Generator`] — the whole-application driver (Problem 2): block
@@ -69,6 +69,7 @@ mod cut;
 mod driver;
 mod engine;
 mod gain;
+mod keyheap;
 mod kl;
 mod speedup;
 

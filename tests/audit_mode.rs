@@ -1,8 +1,8 @@
 //! The incremental-engine invariant auditor: with a nonzero audit
 //! cadence, `run_trajectory` periodically rebuilds the ground truth
 //! from scratch and cross-checks the [`ToggleEngine`]'s incidence
-//! sets, the [`GainCache`]'s cached terms and the lazy queue's stamp
-//! consistency — panicking with a structured report on divergence. On
+//! sets, the [`GainCache`]'s cached terms and the selection heaps'
+//! shape, membership and keys — panicking with a structured report on divergence. On
 //! healthy code it must therefore be a behavioral no-op: same cuts,
 //! same merits, plus a nonzero `audit_checks` counter. And it must
 //! actually *detect* corruption, which `corrupt_entry_for_test`
@@ -72,7 +72,7 @@ proptest! {
 }
 
 /// A real registry workload at cadence 1 — every commit cross-checked,
-/// heap-stamp coverage of the lazy queue included.
+/// the selection heaps' shape, membership and keys included.
 #[test]
 fn audit_every_commit_on_registry_workload() {
     let spec = workload_by_name("fir00").expect("fir00 in registry");

@@ -1,4 +1,4 @@
-//! The lazy-decrease max-gain queue must be a pure wall-clock
+//! The max-gain selection queue must be a pure wall-clock
 //! optimisation: the production search must commit the **same toggles
 //! in the same order** as the paper's literal inner loop, so cuts,
 //! merits and selections are bit-identical.

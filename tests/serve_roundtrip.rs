@@ -218,9 +218,9 @@ fn daemon_matches_library_path_and_serves_from_cache() {
             skey("arena_reuses") > 0,
             "arena pool was never reused: {stats}"
         );
-        // Under the lazy-queue selector the cache's job is to make gain
+        // Under the queue selector the cache's job is to make gain
         // evaluations *rare*, not to serve a giant stream of them: only
-        // popped candidates and dirty re-keys ever probe. The scan-era
+        // walked candidates and dirty re-keys ever probe. The scan-era
         // "mostly cached" ratio no longer applies, so assert the
         // stronger form — total probes per commit stays bounded (the
         // full scan did ~1000/commit on these workloads).
