@@ -147,13 +147,17 @@ fn strip_cache(response: &Json) -> String {
     }
 }
 
-/// One line-framed request/response over an existing connection.
+/// One line-framed request/response over an existing connection. The
+/// request goes out in one write, so Nagle's algorithm cannot hold back
+/// a split tail.
 fn roundtrip(
     stream: &mut TcpStream,
     reader: &mut BufReader<TcpStream>,
     request: &str,
 ) -> Result<Json, String> {
-    writeln!(stream, "{request}").map_err(|e| format!("send: {e}"))?;
+    stream
+        .write_all(format!("{request}\n").as_bytes())
+        .map_err(|e| format!("send: {e}"))?;
     let mut line = String::new();
     reader
         .read_line(&mut line)
@@ -290,6 +294,7 @@ fn main() {
                             return;
                         }
                     };
+                    let _ = stream.set_nodelay(true);
                     let _ = stream.set_read_timeout(Some(Duration::from_secs(300)));
                     let mut reader =
                         BufReader::new(stream.try_clone().expect("clone client stream"));
@@ -344,6 +349,7 @@ fn main() {
         let mut warm_hits = 0u64;
         let mut warm_failures = 0u64;
         let mut warm_conn = TcpStream::connect(addr).expect("warm connect");
+        let _ = warm_conn.set_nodelay(true);
         let _ = warm_conn.set_read_timeout(Some(Duration::from_secs(300)));
         let mut warm_reader = BufReader::new(warm_conn.try_clone().expect("clone"));
         for (w, request) in select_requests.iter().enumerate() {

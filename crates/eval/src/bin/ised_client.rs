@@ -47,6 +47,9 @@ impl Connection {
     fn open(addr: &str) -> Connection {
         let stream = TcpStream::connect(addr)
             .unwrap_or_else(|e| fail(format!("cannot connect to {addr}: {e}")));
+        stream
+            .set_nodelay(true)
+            .unwrap_or_else(|e| fail(format!("cannot set TCP_NODELAY: {e}")));
         let reader = BufReader::new(
             stream
                 .try_clone()
@@ -56,7 +59,9 @@ impl Connection {
     }
 
     fn request(&mut self, payload: Json) -> Json {
-        writeln!(self.stream, "{payload}").unwrap_or_else(|e| fail(format!("send: {e}")));
+        self.stream
+            .write_all(format!("{payload}\n").as_bytes())
+            .unwrap_or_else(|e| fail(format!("send: {e}")));
         let mut line = String::new();
         self.reader
             .read_line(&mut line)

@@ -265,10 +265,9 @@ impl Backend {
         stream
             .set_write_timeout(Some(deadline))
             .map_err(BackendError::Io)?;
-        let mut writer = stream.try_clone().map_err(BackendError::Io)?;
         // Always length-prefixed shard-side: any payload (embedded
         // newlines included) forwards unmodified.
-        wire::write_frame(&mut writer, body, Framing::Prefixed).map_err(BackendError::Io)?;
+        wire::write_frame(&mut &stream, body, Framing::Prefixed).map_err(BackendError::Io)?;
         let limits = WireLimits {
             idle: Some(deadline),
             deadline: Some(deadline),

@@ -11,23 +11,23 @@
 //! [`Service`] — the same engine the shards run, so degraded answers
 //! are byte-identical to healthy ones).
 //!
-//! The [`Router`] is a thin transport: the same framing, deadline and
-//! prompt-shutdown machinery as [`crate::Server`], with requests handed
-//! to the fleet instead of a local service.
+//! The [`Router`] is a thin transport: the very TCP front
+//! [`crate::Server`] runs (`front.rs`), handing requests to the fleet
+//! instead of a local service and adding only `drain` by shard index.
 
 use crate::cache::{fnv1a, ServeCache};
 use crate::fleet::backend::{Backend, BackendConfig};
 use crate::fleet::ring::Ring;
+use crate::front::{Front, Handler};
 use crate::json::{self, Json};
 use crate::proto;
 use crate::proto::ProtoError;
 use crate::service::Service;
-use crate::wire::{self, FrameRead, Framing, WireLimits};
+use crate::wire::WireLimits;
 use isegen_ir::{text, LatencyModel};
 use std::collections::HashMap;
-use std::io::{self, BufReader};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::io;
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -283,7 +283,7 @@ impl Fleet {
             Some("stats") => self.aggregate_stats().to_string().into_bytes(),
             _ => match self.routing_key(&request) {
                 Some(key) => self.route(key, raw, &request),
-                None => self.local_response(raw),
+                None => self.local_response(&request),
             },
         }
     }
@@ -328,7 +328,7 @@ impl Fleet {
         // Every shard unavailable: degrade to the in-process engine.
         self.fallbacks.fetch_add(1, Ordering::Relaxed);
         self.log(format!("key {key:016x}: all shards down, serving locally"));
-        self.local_response(raw)
+        self.local_response(request)
     }
 
     /// A failover shard answering `not_found` for an `app` hash the
@@ -367,16 +367,11 @@ impl Fleet {
 
     /// Serves a request from the in-process engine (degraded mode, and
     /// the home of requests that cannot be placed on the ring).
-    fn local_response(&self, raw: &[u8]) -> Vec<u8> {
-        let response = catch_unwind(AssertUnwindSafe(|| self.fallback.handle_bytes(raw)))
-            .unwrap_or_else(|_| {
-                Err(ProtoError::new(
-                    "internal",
-                    "fallback handler panicked; see router log",
-                ))
-            })
-            .unwrap_or_else(|e| e.to_response());
-        response.to_string().into_bytes()
+    fn local_response(&self, request: &Json) -> Vec<u8> {
+        match self.fallback.handle(request) {
+            Ok(response) => response.to_string().into_bytes(),
+            Err(e) => e.to_response().to_string().into_bytes(),
+        }
     }
 
     /// The router's `stats` document: fleet counters, per-shard health
@@ -390,10 +385,7 @@ impl Fleet {
                 let mut doc = Json::obj([
                     ("shard", b.index.into()),
                     ("alive", Json::Bool(!b.child_dead())),
-                    (
-                        "pid",
-                        b.pid().map(|p| Json::from(p as u64)).unwrap_or(Json::Null),
-                    ),
+                    ("pid", pid_json(b.pid())),
                     ("breaker", b.breaker.state_name().into()),
                     ("restarts", b.restarts.load(Ordering::Relaxed).into()),
                     ("forwarded", b.forwarded.load(Ordering::Relaxed).into()),
@@ -479,17 +471,8 @@ impl Fleet {
                     ("op", "drain".into()),
                     ("shard", shard.into()),
                     ("acked", Json::Bool(acked)),
-                    (
-                        "old_pid",
-                        old_pid.map(|p| Json::from(p as u64)).unwrap_or(Json::Null),
-                    ),
-                    (
-                        "new_pid",
-                        backend
-                            .pid()
-                            .map(|p| Json::from(p as u64))
-                            .unwrap_or(Json::Null),
-                    ),
+                    ("old_pid", pid_json(old_pid)),
+                    ("new_pid", pid_json(backend.pid())),
                 ])
             }
             Err(e) => {
@@ -579,6 +562,11 @@ impl Fleet {
     }
 }
 
+/// A shard's pid for a response document: `null` when no child runs.
+fn pid_json(pid: Option<u32>) -> Json {
+    pid.map_or(Json::Null, |p| Json::from(u64::from(p)))
+}
+
 impl std::fmt::Debug for Fleet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Fleet")
@@ -588,39 +576,28 @@ impl std::fmt::Debug for Fleet {
     }
 }
 
-/// The TCP front of the fleet. Accepts the same wire protocol as
-/// [`crate::Server`] (both framings, idle/read deadlines, prompt
-/// shutdown) and answers every request through the [`Fleet`].
+/// The TCP front of the fleet: the same front as [`crate::Server`],
+/// answering every request through the [`Fleet`].
 pub struct Router {
-    listener: TcpListener,
-    local_addr: SocketAddr,
+    front: Front,
     fleet: Fleet,
-    stop: AtomicBool,
-    connections: AtomicU64,
-    conns: Mutex<HashMap<u64, TcpStream>>,
-    next_conn_id: AtomicU64,
 }
 
 impl Router {
     /// Binds the front (port 0 for ephemeral) over a started fleet.
     pub fn bind(addr: impl ToSocketAddrs, fleet: Fleet) -> io::Result<Router> {
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        Ok(Router {
-            listener,
-            local_addr,
-            fleet,
-            stop: AtomicBool::new(false),
-            connections: AtomicU64::new(0),
-            conns: Mutex::new(HashMap::new()),
-            next_conn_id: AtomicU64::new(0),
-        })
+        let limits = WireLimits {
+            idle: fleet.config.idle_timeout,
+            deadline: fleet.config.read_deadline,
+            ..WireLimits::default()
+        };
+        let front = Front::bind(addr, limits, "isegen-router", fleet.config.verbose)?;
+        Ok(Router { front, fleet })
     }
 
     /// The bound address.
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.front.local_addr()
     }
 
     /// The routing core.
@@ -631,174 +608,38 @@ impl Router {
     /// Stops the accept loop, the health loop, in-flight forwards and
     /// every client connection (read half-close, as in the server).
     pub fn request_stop(&self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.front.request_stop();
         self.fleet.request_stop();
-        if let Ok(conns) = self.conns.lock() {
-            for stream in conns.values() {
-                let _ = stream.shutdown(Shutdown::Read);
-            }
-        }
-    }
-
-    fn log(&self, message: impl AsRef<str>) {
-        if self.fleet.config.verbose {
-            eprintln!("[isegen-router] {}", message.as_ref());
-        }
     }
 
     /// Runs the health loop and the accept loop until shutdown, then
     /// tears the shards down.
     pub fn run(&self) -> io::Result<()> {
-        self.log(format!(
-            "listening on {} ({} shards)",
-            self.local_addr,
-            self.fleet.backends.len()
-        ));
         std::thread::scope(|scope| {
             scope.spawn(|| self.fleet.run_health_loop());
-            loop {
-                if self.stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                match self.listener.accept() {
-                    Ok((stream, peer)) => {
-                        self.connections.fetch_add(1, Ordering::Relaxed);
-                        let conn_id = self.next_conn_id.fetch_add(1, Ordering::Relaxed);
-                        if let (Ok(clone), Ok(mut conns)) = (stream.try_clone(), self.conns.lock())
-                        {
-                            conns.insert(conn_id, clone);
-                        }
-                        scope.spawn(move || {
-                            if let Err(e) = self.handle_connection(stream) {
-                                self.log(format!("connection {peer} closed: {e}"));
-                            }
-                            if let Ok(mut conns) = self.conns.lock() {
-                                conns.remove(&conn_id);
-                            }
-                        });
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(e) => {
-                        self.log(format!("accept error (retrying): {e}"));
-                        std::thread::sleep(Duration::from_millis(100));
-                    }
-                }
-            }
+            self.front.run(self);
         });
         self.fleet.shutdown_backends();
-        self.log("shutdown complete");
+        self.front.log("shutdown complete");
         Ok(())
     }
+}
 
-    fn handle_connection(&self, stream: TcpStream) -> io::Result<()> {
-        stream.set_read_timeout(Some(wire::POLL_INTERVAL))?;
-        stream.set_write_timeout(Some(Duration::from_secs(30)))?;
-        let mut writer = stream.try_clone()?;
-        let mut reader = BufReader::new(stream);
-        let limits = WireLimits {
-            idle: self.fleet.config.idle_timeout,
-            deadline: self.fleet.config.read_deadline,
-            ..WireLimits::default()
-        };
-        let mut bytes = Vec::new();
-        loop {
-            let framing = match wire::read_frame(&mut reader, &mut bytes, &limits, &self.stop)? {
-                FrameRead::Frame(framing) => framing,
-                FrameRead::Eof | FrameRead::Stopped | FrameRead::IdleTimeout => return Ok(()),
-                FrameRead::TooLong(framing) => {
-                    let cap = match framing {
-                        Framing::Line => limits.max_line,
-                        Framing::Prefixed => limits.max_frame,
-                    };
-                    let err = ProtoError::new("protocol", format!("request exceeds {cap} bytes"));
-                    self.respond(
-                        &mut writer,
-                        err.to_response().to_string().as_bytes(),
-                        framing,
-                    )?;
-                    match framing {
-                        Framing::Line => continue,
-                        Framing::Prefixed => return Ok(()),
-                    }
-                }
-                FrameRead::DeadlineExceeded => {
-                    let err = ProtoError::new(
-                        "timeout",
-                        "request did not complete within the read deadline",
-                    );
-                    let _ = self.respond(
-                        &mut writer,
-                        err.to_response().to_string().as_bytes(),
-                        Framing::Line,
-                    );
-                    return Ok(());
-                }
-                FrameRead::Malformed(why) => {
-                    let err = ProtoError::new("protocol", why);
-                    let _ = self.respond(
-                        &mut writer,
-                        err.to_response().to_string().as_bytes(),
-                        Framing::Line,
-                    );
-                    return Ok(());
-                }
-            };
-            let text = String::from_utf8_lossy(&bytes);
-            let trimmed = text.trim();
-            if trimmed.is_empty() {
-                continue;
-            }
-            // Transport ops are the router's own; everything else is
-            // the fleet's. `stats` is intercepted to tack on the
-            // connection count only this layer knows.
-            if let Ok(request) = json::parse(trimmed) {
-                match request.get("op").and_then(Json::as_str) {
-                    Some("shutdown") => {
-                        let ack = Json::obj([("ok", Json::Bool(true)), ("op", "shutdown".into())]);
-                        self.respond(&mut writer, ack.to_string().as_bytes(), framing)?;
-                        self.request_stop();
-                        return Ok(());
-                    }
-                    Some("drain") => {
-                        let response = match request.get("shard").and_then(Json::as_u64) {
-                            Some(shard) => self.fleet.drain_shard(shard as usize),
-                            None => {
-                                ProtoError::new("protocol", "drain needs a numeric \"shard\" index")
-                                    .to_response()
-                            }
-                        };
-                        self.respond(&mut writer, response.to_string().as_bytes(), framing)?;
-                        continue;
-                    }
-                    Some("stats") => {
-                        let mut response = self.fleet.aggregate_stats();
-                        if let Json::Obj(members) = &mut response {
-                            members.push((
-                                "connections".to_string(),
-                                self.connections.load(Ordering::Relaxed).into(),
-                            ));
-                        }
-                        self.respond(&mut writer, response.to_string().as_bytes(), framing)?;
-                        continue;
-                    }
-                    _ => {}
-                }
-            }
-            let body = bytes.clone();
-            let response = catch_unwind(AssertUnwindSafe(|| self.fleet.handle(&body)))
-                .unwrap_or_else(|_| {
-                    ProtoError::new("internal", "router handler panicked; see router log")
-                        .to_response()
-                        .to_string()
-                        .into_bytes()
-                });
-            self.respond(&mut writer, &response, framing)?;
+impl Handler for Router {
+    fn handle(&self, request: &Json, raw: &[u8]) -> Vec<u8> {
+        if request.get("op").and_then(Json::as_str) != Some("drain") {
+            return self.fleet.handle(raw);
         }
+        let response = match request.get("shard").and_then(Json::as_u64) {
+            Some(shard) => self.fleet.drain_shard(shard as usize),
+            None => {
+                ProtoError::new("protocol", "drain needs a numeric \"shard\" index").to_response()
+            }
+        };
+        response.to_string().into_bytes()
     }
 
-    fn respond(&self, writer: &mut TcpStream, response: &[u8], framing: Framing) -> io::Result<()> {
-        wire::write_frame(writer, response, framing)
+    fn shutdown(&self) {
+        self.request_stop();
     }
 }

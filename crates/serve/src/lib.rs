@@ -19,7 +19,8 @@
 //!   `stats` request away.
 //! * **Concurrent serving** ([`Server`]): one scoped worker thread per
 //!   connection over the shared cache, reusing the batched driver for
-//!   multi-threaded selection when a request asks for it.
+//!   multi-threaded selection when a request asks for it. The TCP front
+//!   is one private module shared with [`fleet::Router`].
 //! * **Panic-proof request path**: hostile input — malformed JSON,
 //!   truncated IR, zero port budgets, non-finite, negative or over-cap
 //!   gain weights, unknown hashes, megabyte lines — produces structured
@@ -58,6 +59,7 @@
 pub mod cache;
 pub mod disk;
 pub mod fleet;
+mod front;
 pub mod json;
 pub mod proto;
 mod server;
