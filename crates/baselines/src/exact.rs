@@ -32,7 +32,8 @@ struct Search<'s, 'c, 'a> {
     ctx: &'s BlockContext<'a>,
     io: IoConstraints,
     cfg: ExactConfig,
-    /// Eligible free nodes in topological order — the decision sequence.
+    /// Eligible free nodes in ascending id (topological) order — the
+    /// decision sequence.
     order: Vec<NodeId>,
     /// Suffix sums of software latency over `order` (merit upper bound).
     suffix_sw: Vec<u64>,
@@ -69,8 +70,7 @@ impl<'s, 'c, 'a> Search<'s, 'c, 'a> {
         if let Some(f) = forbidden {
             free.subtract(f);
         }
-        let mut order: Vec<NodeId> = free.iter().collect();
-        order.sort_by_key(|&v| ctx.topo().rank(v));
+        let order: Vec<NodeId> = free.iter().collect();
         if order.len() > cfg.max_nodes {
             return Err(BaselineError::TooLarge {
                 nodes: order.len(),

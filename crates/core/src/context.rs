@@ -1,10 +1,11 @@
-use isegen_graph::{convex, NodeId, NodeSet, Reachability, TopoOrder};
+use isegen_graph::{convex, NodeId, NodeSet, Reachability};
 use isegen_ir::{BasicBlock, LatencyModel};
 use std::sync::Arc;
 
-/// The owned, block-independent part of a [`BlockContext`]: topological
-/// order, transitive closure, per-node latencies, eligibility mask and
-/// growth scores.
+/// The owned, block-independent part of a [`BlockContext`]: transitive
+/// closure, per-node latencies, eligibility mask and growth scores. No
+/// topological order is stored: node ids are one (see
+/// [`Dag`](isegen_graph::Dag)), so every sweep walks ids.
 ///
 /// Splitting this out of the borrowing [`BlockContext`] lets a long-lived
 /// service cache the O(V·E/64) precomputation across requests: the data
@@ -12,7 +13,6 @@ use std::sync::Arc;
 /// [`BlockContext::with_data`] at the cost of an `Arc` clone.
 #[derive(Debug, Clone)]
 pub struct ContextData {
-    topo: TopoOrder,
     reach: Reachability,
     sw: Vec<u32>,
     hw: Vec<f64>,
@@ -52,8 +52,8 @@ impl ContextData {
     /// latencies instead of a [`LatencyModel`] walk — the multilevel
     /// coarsening pass summarizes supernode latencies itself (software
     /// cycles add; hardware delay is an internal-critical-path bound).
-    /// Topological order, reachability, eligibility and growth scores
-    /// are still derived from the block's own structure.
+    /// Reachability, eligibility and growth scores are still derived
+    /// from the block's own structure.
     ///
     /// # Panics
     ///
@@ -63,8 +63,7 @@ impl ContextData {
         let n = dag.node_count();
         assert_eq!(sw.len(), n, "one sw latency per node");
         assert_eq!(hw.len(), n, "one hw delay per node");
-        let topo = TopoOrder::new(dag);
-        let reach = Reachability::new(dag, &topo);
+        let reach = Reachability::new(dag);
         let eligible = block.eligible_nodes();
 
         // Barrier distances (paper §4.2 "Large Cut"): external inputs and
@@ -73,7 +72,7 @@ impl ContextData {
         // acts as a barrier at distance 1 and propagates like any other.
         let is_hard_barrier = |v: NodeId| dag.weight(v).opcode().is_barrier();
         let mut d_up = vec![u32::MAX; n];
-        for &v in topo.order() {
+        for v in dag.node_ids() {
             let i = v.index();
             if is_hard_barrier(v) {
                 d_up[i] = 0;
@@ -86,7 +85,7 @@ impl ContextData {
             d_up[i] = best;
         }
         let mut d_down = vec![u32::MAX; n];
-        for &v in topo.order().iter().rev() {
+        for v in dag.node_ids().rev() {
             let i = v.index();
             if is_hard_barrier(v) {
                 d_down[i] = 0;
@@ -114,7 +113,6 @@ impl ContextData {
             .collect();
 
         ContextData {
-            topo,
             reach,
             sw,
             hw,
@@ -127,10 +125,10 @@ impl ContextData {
 /// Per-block precomputation shared by every algorithm that searches the
 /// block for cuts.
 ///
-/// Built once per basic block in O(V·E/64); it bundles the topological
-/// order, the transitive closure (for O(n/64) convexity tests), per-node
-/// latencies, the ISE-eligibility mask and the static barrier-distance
-/// *growth scores* used by the paper's "Large Cut" gain component. The
+/// Built once per basic block in O(V·E/64); it bundles the transitive
+/// closure (for O(n/64) convexity tests), per-node latencies, the
+/// ISE-eligibility mask and the static barrier-distance *growth scores*
+/// used by the paper's "Large Cut" gain component. The
 /// precomputation lives in a shared [`ContextData`], so caches can keep
 /// it alive across requests and reattach it with
 /// [`BlockContext::with_data`].
@@ -181,12 +179,6 @@ impl<'a> BlockContext<'a> {
     #[inline]
     pub fn node_count(&self) -> usize {
         self.block.dag().node_count()
-    }
-
-    /// Cached topological order.
-    #[inline]
-    pub fn topo(&self) -> &TopoOrder {
-        &self.data.topo
     }
 
     /// Cached transitive closure.

@@ -57,7 +57,7 @@ impl Cut {
             }
         }
         inputs += feeds_cut.len() as u32;
-        let hw_latency = path::critical_path_within(dag, ctx.topo(), &nodes, |v| ctx.hw_delay(v));
+        let hw_latency = path::critical_path_within(dag, &nodes, |v| ctx.hw_delay(v));
         Cut {
             nodes,
             inputs,

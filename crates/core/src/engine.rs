@@ -74,11 +74,10 @@ pub struct ToggleEngine<'c, 'a> {
     hull_delta_above: Vec<(usize, u64)>,
     changed_up: Vec<NodeId>,
     changed_down: Vec<NodeId>,
+    /// Worklist of the longest-path propagation
+    /// ([`ToggleEngine::refresh_entering`]): the set bits on the far side
+    /// of its cursor.
     bfs_visited: NodeSet,
-    /// Rank-ordered worklist of the longest-path propagation
-    /// ([`ToggleEngine::refresh_entering`]); keys are topological ranks
-    /// (complemented for the ascending `up` sweep).
-    prop_heap: std::collections::BinaryHeap<(u32, u32)>,
 }
 
 /// The owned buffers of a [`ToggleEngine`], detached from any block —
@@ -115,7 +114,6 @@ pub struct EngineArena {
     changed_up: Vec<NodeId>,
     changed_down: Vec<NodeId>,
     bfs_visited: NodeSet,
-    prop_heap: std::collections::BinaryHeap<(u32, u32)>,
 }
 
 /// The predicted effect of toggling one node, produced by
@@ -203,7 +201,6 @@ impl<'c, 'a> ToggleEngine<'c, 'a> {
             changed_up: arena.changed_up,
             changed_down: arena.changed_down,
             bfs_visited: arena.bfs_visited,
-            prop_heap: arena.prop_heap,
         };
         engine.reset_from_cut(cut);
         engine
@@ -263,7 +260,6 @@ impl<'c, 'a> ToggleEngine<'c, 'a> {
         self.changed_up.clear();
         self.changed_down.clear();
         self.bfs_visited.reset(n);
-        self.prop_heap.clear();
         self.recount_io();
         self.refresh_full();
     }
@@ -294,7 +290,6 @@ impl<'c, 'a> ToggleEngine<'c, 'a> {
             changed_up: self.changed_up,
             changed_down: self.changed_down,
             bfs_visited: self.bfs_visited,
-            prop_heap: self.prop_heap,
         }
     }
 
@@ -859,31 +854,32 @@ impl<'c, 'a> ToggleEngine<'c, 'a> {
         // Longest paths: an entering toggle only *lengthens* in-cut
         // paths, so instead of recomputing every cut member in v's
         // cones, propagate the increase outward from v and stop where a
-        // value is unchanged. The rank-ordered worklist guarantees a
-        // node is recomputed only after all of its moved predecessors
-        // settled (`up`: ascending topological rank; `down`:
-        // descending), so each affected node is recomputed exactly once
-        // and the resulting values are identical to the full sweep.
+        // value is unchanged. Node ids are a topological order and every
+        // push lands on the far side of the cursor, so walking the
+        // visited bits in id order (`up`: ascending from v; `down`:
+        // descending) recomputes a node only after all of its moved
+        // predecessors settled — each affected node exactly once, with
+        // values identical to the full sweep.
         let dag = ctx.block().dag();
-        let topo = ctx.topo();
         self.recompute_up(v);
         self.changed_up.clear();
-        self.prop_heap.clear();
         self.bfs_visited.reset(ctx.node_count());
         for &s in dag.succs(v) {
-            if self.cut.contains(s) && self.bfs_visited.insert(s) {
-                self.prop_heap.push((!topo.rank(s), s.index() as u32));
+            if self.cut.contains(s) {
+                self.bfs_visited.insert(s);
             }
         }
-        while let Some((_, wi)) = self.prop_heap.pop() {
-            let w = NodeId::from_index(wi as usize);
-            let old = self.up[w.index()];
+        let mut cursor = v.index();
+        while let Some(wi) = self.bfs_visited.next_set(cursor + 1) {
+            cursor = wi;
+            let w = NodeId::from_index(wi);
+            let old = self.up[wi];
             self.recompute_up(w);
-            if self.up[w.index()] != old {
+            if self.up[wi] != old {
                 self.changed_up.push(w);
                 for &s in dag.succs(w) {
-                    if self.cut.contains(s) && self.bfs_visited.insert(s) {
-                        self.prop_heap.push((!topo.rank(s), s.index() as u32));
+                    if self.cut.contains(s) {
+                        self.bfs_visited.insert(s);
                     }
                 }
             }
@@ -891,22 +887,23 @@ impl<'c, 'a> ToggleEngine<'c, 'a> {
 
         self.recompute_down(v);
         self.changed_down.clear();
-        self.prop_heap.clear();
         self.bfs_visited.reset(ctx.node_count());
         for &p in dag.preds(v) {
-            if self.cut.contains(p) && self.bfs_visited.insert(p) {
-                self.prop_heap.push((topo.rank(p), p.index() as u32));
+            if self.cut.contains(p) {
+                self.bfs_visited.insert(p);
             }
         }
-        while let Some((_, wi)) = self.prop_heap.pop() {
-            let w = NodeId::from_index(wi as usize);
-            let old = self.down[w.index()];
+        let mut cursor = v.index();
+        while let Some(wi) = self.bfs_visited.prev_set(cursor) {
+            cursor = wi;
+            let w = NodeId::from_index(wi);
+            let old = self.down[wi];
             self.recompute_down(w);
-            if self.down[w.index()] != old {
+            if self.down[wi] != old {
                 self.changed_down.push(w);
                 for &p in dag.preds(w) {
-                    if self.cut.contains(p) && self.bfs_visited.insert(p) {
-                        self.prop_heap.push((topo.rank(p), p.index() as u32));
+                    if self.cut.contains(p) {
+                        self.bfs_visited.insert(p);
                     }
                 }
             }
@@ -985,16 +982,16 @@ impl<'c, 'a> ToggleEngine<'c, 'a> {
             self.above.union_with(reach.ancestors(w));
         }
 
-        self.collect_cut_members_by_rank(reach.descendants(v), true);
+        self.collect_cut_members(reach.descendants(v));
         let affected_up = std::mem::take(&mut self.order_scratch);
         for &w in &affected_up {
             self.recompute_up(w);
         }
         self.order_scratch = affected_up;
 
-        self.collect_cut_members_by_rank(reach.ancestors(v), false);
+        self.collect_cut_members(reach.ancestors(v));
         let affected_down = std::mem::take(&mut self.order_scratch);
-        for &w in &affected_down {
+        for &w in affected_down.iter().rev() {
             self.recompute_down(w);
         }
         self.order_scratch = affected_down;
@@ -1014,10 +1011,8 @@ impl<'c, 'a> ToggleEngine<'c, 'a> {
             self.below.union_with(reach.descendants(v));
             self.above.union_with(reach.ancestors(v));
         }
-        let topo = self.ctx.topo();
         self.order_scratch.clear();
         self.order_scratch.extend(self.cut.iter());
-        self.order_scratch.sort_unstable_by_key(|&w| topo.rank(w));
         let members = std::mem::take(&mut self.order_scratch);
         for &w in &members {
             self.recompute_up(w);
@@ -1031,10 +1026,9 @@ impl<'c, 'a> ToggleEngine<'c, 'a> {
         self.refresh_derived_masks();
     }
 
-    /// Fills `order_scratch` with `cut ∩ within`, sorted by topological
-    /// rank (ascending or descending).
-    fn collect_cut_members_by_rank(&mut self, within: &NodeSet, ascending: bool) {
-        let topo = self.ctx.topo();
+    /// Fills `order_scratch` with `cut ∩ within` in ascending id
+    /// (topological) order.
+    fn collect_cut_members(&mut self, within: &NodeSet) {
         self.order_scratch.clear();
         {
             // Word-zip of the two bitsets: touch only words where both
@@ -1049,12 +1043,6 @@ impl<'c, 'a> ToggleEngine<'c, 'a> {
                     scratch.push(NodeId::from_index(wi * 64 + b));
                 }
             });
-        }
-        if ascending {
-            self.order_scratch.sort_unstable_by_key(|&w| topo.rank(w));
-        } else {
-            self.order_scratch
-                .sort_unstable_by_key(|&w| std::cmp::Reverse(topo.rank(w)));
         }
     }
 

@@ -353,6 +353,36 @@ impl NodeSet {
         None
     }
 
+    /// The smallest set index at or after `from`, if any. Paired with
+    /// [`NodeSet::prev_set`] it walks a set as an ordered worklist whose
+    /// cursor only moves one way while bits are added ahead of it.
+    pub fn next_set(&self, from: usize) -> Option<usize> {
+        let mut wi = from / WORD_BITS;
+        let mut w = *self.words.get(wi)? & (!0u64 << (from % WORD_BITS));
+        loop {
+            if w != 0 {
+                return Some(wi * WORD_BITS + w.trailing_zeros() as usize);
+            }
+            wi += 1;
+            w = *self.words.get(wi)?;
+        }
+    }
+
+    /// The largest set index strictly before `before`, if any: the
+    /// descending mirror of [`NodeSet::next_set`].
+    pub fn prev_set(&self, before: usize) -> Option<usize> {
+        let last = before.min(self.capacity).checked_sub(1)?;
+        let mut wi = last / WORD_BITS;
+        let mut w = self.words[wi] & (!0u64 >> (WORD_BITS - 1 - last % WORD_BITS));
+        loop {
+            if w != 0 {
+                return Some(wi * WORD_BITS + WORD_BITS - 1 - w.leading_zeros() as usize);
+            }
+            wi = wi.checked_sub(1)?;
+            w = self.words[wi];
+        }
+    }
+
     /// The `i`-th 64-bit word of the backing storage (bit `b` of word `i`
     /// is node index `64·i + b`). Low-level companion of
     /// [`NodeSet::for_each_word`] for zipping two sets word by word.
@@ -646,6 +676,23 @@ mod tests {
         assert_eq!(s.first(), Some(id(64)));
         s.insert(id(0));
         assert_eq!(s.first_set(), Some(0));
+    }
+
+    #[test]
+    fn next_and_prev_set_match_a_naive_scan() {
+        for cap in [1usize, 63, 64, 65, 66, 128, 130] {
+            let marks = [0usize, 63, 64, 65, cap - 1];
+            let s = NodeSet::from_ids(cap, marks.iter().filter(|&&i| i < cap).map(|&i| id(i)));
+            for i in 0..=cap + 1 {
+                let next = (i..cap).find(|&j| s.contains(id(j)));
+                let prev = (0..i.min(cap)).rev().find(|&j| s.contains(id(j)));
+                assert_eq!(s.next_set(i), next, "next_set({i}) at capacity {cap}");
+                assert_eq!(s.prev_set(i), prev, "prev_set({i}) at capacity {cap}");
+            }
+        }
+        let empty = NodeSet::new(0);
+        assert_eq!(empty.next_set(0), None);
+        assert_eq!(empty.prev_set(5), None);
     }
 
     #[test]

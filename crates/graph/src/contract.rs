@@ -2,13 +2,12 @@
 //! multilevel (coarsen → search → uncoarsen) pipeline.
 //!
 //! A [`Contraction`] partitions a DAG's nodes into clusters and renumbers
-//! the clusters topologically, so the quotient graph can be built with
-//! the unchecked fast edge path and downstream code keeps the repo-wide
-//! invariant that node indices are emitted in topological order. The
-//! *caller* is responsible for choosing a path-closed clustering (no
-//! directed path may leave a cluster and re-enter it); a clustering that
-//! violates this makes the quotient cyclic, which [`Contraction::new`]
-//! detects and rejects.
+//! the clusters topologically, so every quotient edge runs forward and
+//! the quotient keeps the [`Dag`] invariant that node ids are a
+//! topological order. The *caller* is responsible for choosing a
+//! path-closed clustering (no directed path may leave a cluster and
+//! re-enter it); a clustering that violates this makes the quotient
+//! cyclic, which [`Contraction::new`] detects and rejects.
 
 use crate::{Dag, NodeId, NodeSet};
 
@@ -165,8 +164,9 @@ impl Contraction {
         for (src, dst) in dag.edges() {
             let (a, b) = (self.coarse_of(src), self.coarse_of(dst));
             if a != b {
-                // Safe: coarse ids follow a quotient topological order.
-                coarse.add_edge_assume_acyclic(a, b);
+                coarse
+                    .add_edge(a, b)
+                    .expect("coarse ids follow a quotient topological order");
             }
         }
         coarse
@@ -255,21 +255,22 @@ mod tests {
 
     #[test]
     fn coarse_ids_are_topo_ordered() {
-        // Build a graph where naive first-member numbering would break
-        // the topological invariant: z (index 0) consumes both x and y.
+        // Naive first-member numbering would break the topological
+        // invariant: X = {0, 3} has the lower first member, yet it
+        // consumes Y = {1, 2} through 2 → 3.
         let mut d: Dag<()> = Dag::new();
-        let z = d.add_node(());
-        let x = d.add_node(());
-        let y = d.add_node(());
-        d.add_edge(x, z).unwrap();
-        d.add_edge(y, z).unwrap();
-        let con = Contraction::new(&d, &[0, 1, 2]).unwrap();
+        let n: Vec<NodeId> = (0..4).map(|_| d.add_node(())).collect();
+        d.add_edge(n[1], n[2]).unwrap();
+        d.add_edge(n[2], n[3]).unwrap();
+        d.add_edge(n[0], n[3]).unwrap();
+        let con = Contraction::new(&d, &[7, 5, 5, 7]).unwrap();
+        assert!(con.coarse_of(n[1]) < con.coarse_of(n[0]), "Y before X");
         let q = con.quotient(&d, |_, _| ());
         for (s, t) in q.edges() {
             assert!(s.index() < t.index(), "quotient edge {s}→{t} not topo");
         }
-        assert_eq!(q.node_count(), 3);
-        assert_eq!(q.edge_count(), 2);
+        assert_eq!(q.node_count(), 2);
+        assert_eq!(q.edge_count(), 1);
     }
 
     #[test]

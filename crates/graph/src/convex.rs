@@ -14,7 +14,7 @@ use crate::{Dag, NodeId, NodeSet, Reachability};
 /// node.
 ///
 /// ```
-/// use isegen_graph::{Dag, NodeSet, TopoOrder, Reachability, convex};
+/// use isegen_graph::{Dag, NodeSet, Reachability, convex};
 ///
 /// # fn main() -> Result<(), isegen_graph::GraphError> {
 /// let mut dag: Dag<()> = Dag::new();
@@ -23,7 +23,7 @@ use crate::{Dag, NodeId, NodeSet, Reachability};
 /// let c = dag.add_node(());
 /// dag.add_edge(a, b)?;
 /// dag.add_edge(b, c)?;
-/// let reach = Reachability::new(&dag, &TopoOrder::new(&dag));
+/// let reach = Reachability::new(&dag);
 /// let hole = NodeSet::from_ids(3, [a, c]);
 /// assert!(!convex::is_convex(&reach, &hole));
 /// # Ok(())
@@ -80,7 +80,6 @@ pub fn is_convex_brute<N>(dag: &Dag<N>, cut: &NodeSet) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TopoOrder;
 
     fn chain(n: usize) -> Dag<()> {
         let mut d = Dag::new();
@@ -94,7 +93,7 @@ mod tests {
     #[test]
     fn empty_and_singleton_are_convex() {
         let d = chain(3);
-        let r = Reachability::new(&d, &TopoOrder::new(&d));
+        let r = Reachability::new(&d);
         assert!(is_convex(&r, &NodeSet::new(3)));
         let single = NodeSet::from_ids(3, [NodeId::from_index(1)]);
         assert!(is_convex(&r, &single));
@@ -103,7 +102,7 @@ mod tests {
     #[test]
     fn hole_in_chain_is_not_convex() {
         let d = chain(5);
-        let r = Reachability::new(&d, &TopoOrder::new(&d));
+        let r = Reachability::new(&d);
         let cut = NodeSet::from_ids(5, [NodeId::from_index(0), NodeId::from_index(4)]);
         assert!(!is_convex(&r, &cut));
         let v = violators(&r, &cut);
@@ -122,7 +121,7 @@ mod tests {
         let e = d.add_node(());
         d.add_edge(a, b).unwrap();
         d.add_edge(c, e).unwrap();
-        let r = Reachability::new(&d, &TopoOrder::new(&d));
+        let r = Reachability::new(&d);
         let cut = NodeSet::from_ids(4, [a, c]);
         assert!(is_convex(&r, &cut));
         assert!(is_convex_brute(&d, &cut));
@@ -140,7 +139,7 @@ mod tests {
         g.add_edge(a, c).unwrap();
         g.add_edge(b, d).unwrap();
         g.add_edge(c, d).unwrap();
-        let r = Reachability::new(&g, &TopoOrder::new(&g));
+        let r = Reachability::new(&g);
         let cut = NodeSet::from_ids(4, [a, d]);
         assert!(!is_convex(&r, &cut));
         assert_eq!(violators(&r, &cut).len(), 2);

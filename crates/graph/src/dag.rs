@@ -8,10 +8,12 @@ use std::fmt;
 /// value on two operand positions (`x * x`) and input/output counting must
 /// see one producer but two operand slots.
 ///
-/// Acyclicity is an invariant: [`Dag::add_edge`] rejects edges that would
-/// close a cycle. Construction code that adds edges strictly from
-/// lower-indexed to higher-indexed nodes can use
-/// [`Dag::add_edge_assume_acyclic`] to skip the O(V+E) check.
+/// **Node ids are a topological order.** [`Dag::add_edge`] accepts an
+/// edge only when its source id is lower than its destination id, so
+/// every edge runs forward, the graph is acyclic by construction, and
+/// iterating ids ascending (descending) visits every node after (before)
+/// all of its predecessors. Producers add operands before the operation
+/// that consumes them, which satisfies this for free.
 ///
 /// ```
 /// use isegen_graph::Dag;
@@ -66,49 +68,26 @@ impl<N> Dag<N> {
         id
     }
 
-    /// Adds a directed edge `src -> dst`, verifying acyclicity.
+    /// Adds a directed edge `src -> dst`, keeping ids a topological
+    /// order: the edge must run forward (`src < dst`), an O(1) check.
     ///
     /// Parallel edges are permitted and counted with multiplicity.
     ///
     /// # Errors
     ///
     /// * [`GraphError::NodeOutOfBounds`] if either endpoint does not exist.
-    /// * [`GraphError::SelfLoop`] if `src == dst`.
-    /// * [`GraphError::WouldCycle`] if a path `dst ⇝ src` already exists.
+    /// * [`GraphError::BackwardEdge`] if `src >= dst` (self-loops
+    ///   included); the graph is left unchanged.
     pub fn add_edge(&mut self, src: NodeId, dst: NodeId) -> Result<(), GraphError> {
         self.check_node(src)?;
         self.check_node(dst)?;
-        if src == dst {
-            return Err(GraphError::SelfLoop { node: src });
+        if src >= dst {
+            return Err(GraphError::BackwardEdge { src, dst });
         }
-        if self.has_path(dst, src) {
-            return Err(GraphError::WouldCycle { src, dst });
-        }
-        self.push_edge(src, dst);
-        Ok(())
-    }
-
-    /// Adds a directed edge without the acyclicity check.
-    ///
-    /// Intended for bulk construction where edges provably go from earlier
-    /// to later nodes (e.g. generators emitting nodes in topological order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either endpoint is out of bounds or `src == dst`.
-    /// Violating acyclicity is not detected here but will make
-    /// [`TopoOrder::new`](crate::TopoOrder::new) panic later.
-    pub fn add_edge_assume_acyclic(&mut self, src: NodeId, dst: NodeId) {
-        assert!(src.index() < self.weights.len(), "src {src} out of bounds");
-        assert!(dst.index() < self.weights.len(), "dst {dst} out of bounds");
-        assert_ne!(src, dst, "self-loop on {src}");
-        self.push_edge(src, dst);
-    }
-
-    fn push_edge(&mut self, src: NodeId, dst: NodeId) {
         self.succs[src.index()].push(dst);
         self.preds[dst.index()].push(src);
         self.edge_count += 1;
+        Ok(())
     }
 
     fn check_node(&self, node: NodeId) -> Result<(), GraphError> {
@@ -209,8 +188,9 @@ impl<N> Dag<N> {
         self.succs[node.index()].len()
     }
 
-    /// Iterates over all node ids in index order.
-    pub fn node_ids(&self) -> impl ExactSizeIterator<Item = NodeId> + Clone {
+    /// Iterates over all node ids in index order, which is a topological
+    /// order (reverse it for a reverse topological order).
+    pub fn node_ids(&self) -> impl DoubleEndedIterator<Item = NodeId> + ExactSizeIterator + Clone {
         (0..self.weights.len()).map(NodeId::from_index)
     }
 
@@ -316,16 +296,29 @@ mod tests {
         let (mut d, [a, _, _, e]) = diamond();
         assert_eq!(
             d.add_edge(e, a),
-            Err(GraphError::WouldCycle { src: e, dst: a })
+            Err(GraphError::BackwardEdge { src: e, dst: a })
         );
         // graph unchanged after rejection
         assert_eq!(d.edge_count(), 4);
     }
 
     #[test]
-    fn self_loop_rejected() {
-        let (mut d, [a, ..]) = diamond();
-        assert_eq!(d.add_edge(a, a), Err(GraphError::SelfLoop { node: a }));
+    fn backward_edge_rejected() {
+        // n1 -> n0 closes no cycle, but it would break the id order.
+        let mut d: Dag<()> = Dag::new();
+        let n0 = d.add_node(());
+        let n1 = d.add_node(());
+        assert_eq!(
+            d.add_edge(n1, n0),
+            Err(GraphError::BackwardEdge { src: n1, dst: n0 })
+        );
+        assert_eq!(
+            d.add_edge(n0, n0),
+            Err(GraphError::BackwardEdge { src: n0, dst: n0 })
+        );
+        assert_eq!(d.edge_count(), 0);
+        assert!(d.succs(n0).is_empty() && d.succs(n1).is_empty());
+        assert!(d.preds(n0).is_empty() && d.preds(n1).is_empty());
     }
 
     #[test]
@@ -374,14 +367,5 @@ mod tests {
         let (d, [a, b, c, e]) = diamond();
         let edges: Vec<_> = d.edges().collect();
         assert_eq!(edges, vec![(a, b), (a, c), (b, e), (c, e)]);
-    }
-
-    #[test]
-    fn assume_acyclic_fast_path() {
-        let mut d: Dag<()> = Dag::new();
-        let a = d.add_node(());
-        let b = d.add_node(());
-        d.add_edge_assume_acyclic(a, b);
-        assert_eq!(d.edge_count(), 1);
     }
 }

@@ -11,13 +11,14 @@ use std::fmt;
 /// let a = dag.add_node(());
 /// let b = dag.add_node(());
 /// dag.add_edge(a, b).unwrap();
-/// assert!(matches!(dag.add_edge(b, a), Err(GraphError::WouldCycle { .. })));
+/// assert!(matches!(dag.add_edge(b, a), Err(GraphError::BackwardEdge { .. })));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum GraphError {
-    /// Adding the edge would create a directed cycle.
-    WouldCycle {
+    /// The edge does not run from a lower to a higher id (self-loops
+    /// included), so it would break the topological id order.
+    BackwardEdge {
         /// Source endpoint of the rejected edge.
         src: NodeId,
         /// Destination endpoint of the rejected edge.
@@ -30,27 +31,19 @@ pub enum GraphError {
         /// Number of nodes in the graph.
         node_count: usize,
     },
-    /// A self-loop (edge from a node to itself) was requested.
-    SelfLoop {
-        /// The node for which the self-loop was requested.
-        node: NodeId,
-    },
 }
 
 impl fmt::Display for GraphError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            GraphError::WouldCycle { src, dst } => {
-                write!(f, "edge {src} -> {dst} would create a cycle")
+            GraphError::BackwardEdge { src, dst } => {
+                write!(f, "edge {src} -> {dst} does not run forward in id order")
             }
             GraphError::NodeOutOfBounds { node, node_count } => {
                 write!(
                     f,
                     "node {node} out of bounds for graph with {node_count} nodes"
                 )
-            }
-            GraphError::SelfLoop { node } => {
-                write!(f, "self-loop on node {node} is not allowed in a dag")
             }
         }
     }
@@ -64,11 +57,14 @@ mod tests {
 
     #[test]
     fn display_messages() {
-        let e = GraphError::WouldCycle {
-            src: NodeId::from_index(1),
-            dst: NodeId::from_index(2),
+        let e = GraphError::BackwardEdge {
+            src: NodeId::from_index(2),
+            dst: NodeId::from_index(1),
         };
-        assert_eq!(e.to_string(), "edge n1 -> n2 would create a cycle");
+        assert_eq!(
+            e.to_string(),
+            "edge n2 -> n1 does not run forward in id order"
+        );
 
         let e = GraphError::NodeOutOfBounds {
             node: NodeId::from_index(9),
@@ -77,14 +73,6 @@ mod tests {
         assert_eq!(
             e.to_string(),
             "node n9 out of bounds for graph with 3 nodes"
-        );
-
-        let e = GraphError::SelfLoop {
-            node: NodeId::from_index(0),
-        };
-        assert_eq!(
-            e.to_string(),
-            "self-loop on node n0 is not allowed in a dag"
         );
     }
 

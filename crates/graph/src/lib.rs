@@ -4,12 +4,13 @@
 //! This crate provides the graph machinery the ISEGEN algorithm (Biswas et
 //! al., DATE 2005) and its baselines are built on:
 //!
-//! * [`Dag`] — a compact adjacency-list DAG with cycle-checked edge
-//!   insertion and parallel-edge support (an operation may consume the same
-//!   value twice, e.g. `x * x`).
+//! * [`Dag`] — a compact adjacency-list DAG whose **node ids are a
+//!   topological order**: every edge runs from a lower to a higher id
+//!   (checked in O(1) on insertion), so id order is the evaluation order
+//!   and no separate topological sort exists. Parallel edges are supported
+//!   (an operation may consume the same value twice, e.g. `x * x`).
 //! * [`NodeSet`] — a dense bitset over node ids; cuts, marks and masks are
 //!   all `NodeSet`s so the hot loops of the toggle engine are word-parallel.
-//! * [`TopoOrder`] — cached topological order and ranks.
 //! * [`Reachability`] — per-node ancestor/descendant bitsets (transitive
 //!   closure) enabling O(n/64) convexity tests.
 //! * [`convex`] — the architectural-feasibility test of the paper
@@ -18,15 +19,15 @@
 //!   (ISEGEN explicitly supports disconnected cuts).
 //! * [`Contraction`] — topologically-renumbered cluster quotients, the
 //!   substrate of the multilevel coarsen→search→uncoarsen pipeline.
-//! * [`path`] — critical-path and barrier-distance computations used by the
-//!   merit function and the directional-growth gain component.
+//! * [`path`] — the critical-path computation behind the merit function's
+//!   hardware latency.
 //! * [`gen`] — layered random DAG generation for property tests and scaling
 //!   benchmarks.
 //!
 //! # Example
 //!
 //! ```
-//! use isegen_graph::{Dag, NodeSet, TopoOrder, Reachability, convex};
+//! use isegen_graph::{Dag, NodeSet, Reachability, convex};
 //!
 //! # fn main() -> Result<(), isegen_graph::GraphError> {
 //! let mut dag: Dag<&str> = Dag::new();
@@ -35,9 +36,10 @@
 //! let c = dag.add_node("c");
 //! dag.add_edge(a, b)?;
 //! dag.add_edge(b, c)?;
+//! // Ids are a topological order: an edge must run forward.
+//! assert!(dag.add_edge(c, a).is_err());
 //!
-//! let topo = TopoOrder::new(&dag);
-//! let reach = Reachability::new(&dag, &topo);
+//! let reach = Reachability::new(&dag);
 //!
 //! // {a, c} is not convex: the path a -> b -> c escapes through b.
 //! let mut cut = NodeSet::new(dag.node_count());
@@ -57,7 +59,6 @@ mod bitset;
 mod dag;
 mod error;
 mod node;
-mod topo;
 
 pub mod components;
 mod contract;
@@ -73,4 +74,3 @@ pub use dag::Dag;
 pub use error::GraphError;
 pub use node::NodeId;
 pub use reach::Reachability;
-pub use topo::TopoOrder;

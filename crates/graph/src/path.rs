@@ -1,52 +1,27 @@
-//! Longest-path (critical-path) and barrier-distance computations.
+//! Longest-path (critical-path) computation.
 //!
 //! The merit function of the paper estimates a cut's hardware latency as
-//! the critical path of per-operation hardware delays through the cut, and
-//! the "Large Cut" gain component measures each node's distance to the
-//! nearest *barrier* (external input, output boundary, memory operation).
+//! the critical path of per-operation hardware delays through the cut.
 
-use crate::{Dag, NodeId, NodeSet, TopoOrder};
+use crate::{Dag, NodeId, NodeSet};
 
-/// Longest-path arrays within a cut.
-///
-/// `up[v]` is the largest delay sum of a path that starts anywhere in the
-/// cut and ends at `v` (inclusive), using only cut-internal edges;
-/// `down[v]` symmetrically for paths starting at `v`. Both are `0.0` for
-/// nodes outside the cut. The cut's critical path is
-/// `max_v (up[v] + down[v] − delay(v))`.
-#[derive(Debug, Clone)]
-pub struct UpDown {
-    /// Longest delay path ending at each node (inclusive).
-    pub up: Vec<f64>,
-    /// Longest delay path starting at each node (inclusive).
-    pub down: Vec<f64>,
-    /// The cut's critical-path delay.
-    pub critical: f64,
-}
-
-/// Computes [`UpDown`] longest-path arrays for the subgraph induced by
-/// `cut`, with per-node delays given by `delay`.
+/// Critical-path delay of the subgraph induced by `cut`, with per-node
+/// delays given by `delay`: `max_v (up[v] + down[v] − delay(v))`, where
+/// `up[v]` (`down[v]`) is the longest in-cut delay path ending (starting)
+/// at `v`, inclusive. Node ids are a topological order, so one ascending
+/// and one descending id sweep settle both.
 ///
 /// O(V + E) over the whole graph (non-cut nodes are skipped).
-///
-/// # Panics
-///
-/// Panics if `topo` does not match `dag`.
-pub fn up_down_within<N>(
+pub fn critical_path_within<N>(
     dag: &Dag<N>,
-    topo: &TopoOrder,
     cut: &NodeSet,
     mut delay: impl FnMut(NodeId) -> f64,
-) -> UpDown {
+) -> f64 {
     let n = dag.node_count();
-    assert_eq!(topo.len(), n, "topological order does not match graph");
     let mut up = vec![0.0f64; n];
     let mut down = vec![0.0f64; n];
     let mut critical = 0.0f64;
-    for &v in topo.order() {
-        if !cut.contains(v) {
-            continue;
-        }
+    for v in cut.iter() {
         let mut best = 0.0f64;
         for &p in dag.preds(v) {
             if cut.contains(p) && up[p.index()] > best {
@@ -55,7 +30,7 @@ pub fn up_down_within<N>(
         }
         up[v.index()] = best + delay(v);
     }
-    for &v in topo.order().iter().rev() {
+    for v in dag.node_ids().rev() {
         if !cut.contains(v) {
             continue;
         }
@@ -72,75 +47,7 @@ pub fn up_down_within<N>(
             critical = through;
         }
     }
-    UpDown { up, down, critical }
-}
-
-/// Critical-path delay of the subgraph induced by `cut`.
-///
-/// Convenience wrapper around [`up_down_within`].
-pub fn critical_path_within<N>(
-    dag: &Dag<N>,
-    topo: &TopoOrder,
-    cut: &NodeSet,
-    delay: impl FnMut(NodeId) -> f64,
-) -> f64 {
-    up_down_within(dag, topo, cut, delay).critical
-}
-
-/// Saturating distance (in edges) from each node **up** to the nearest
-/// barrier ancestor.
-///
-/// Barrier nodes themselves get distance 0. A node whose predecessors are
-/// all non-barriers gets `1 + min(preds)`. Nodes with no predecessors and
-/// no barrier above get [`u32::MAX`] (no growth limit in that direction).
-pub fn barrier_distance_up<N>(
-    dag: &Dag<N>,
-    topo: &TopoOrder,
-    mut is_barrier: impl FnMut(NodeId) -> bool,
-) -> Vec<u32> {
-    let n = dag.node_count();
-    let mut dist = vec![u32::MAX; n];
-    for &v in topo.order() {
-        if is_barrier(v) {
-            dist[v.index()] = 0;
-            continue;
-        }
-        let mut best = u32::MAX;
-        for &p in dag.preds(v) {
-            let d = dist[p.index()].saturating_add(1);
-            if d < best {
-                best = d;
-            }
-        }
-        dist[v.index()] = best;
-    }
-    dist
-}
-
-/// Saturating distance (in edges) from each node **down** to the nearest
-/// barrier descendant. Mirror of [`barrier_distance_up`].
-pub fn barrier_distance_down<N>(
-    dag: &Dag<N>,
-    topo: &TopoOrder,
-    mut is_barrier: impl FnMut(NodeId) -> bool,
-) -> Vec<u32> {
-    let n = dag.node_count();
-    let mut dist = vec![u32::MAX; n];
-    for &v in topo.order().iter().rev() {
-        if is_barrier(v) {
-            dist[v.index()] = 0;
-            continue;
-        }
-        let mut best = u32::MAX;
-        for &s in dag.succs(v) {
-            let d = dist[s.index()].saturating_add(1);
-            if d < best {
-                best = d;
-            }
-        }
-        dist[v.index()] = best;
-    }
-    dist
+    critical
 }
 
 #[cfg(test)]
@@ -159,13 +66,12 @@ mod tests {
     #[test]
     fn chain_critical_path() {
         let (d, ids) = chain_with_delays(&[1.0, 2.0, 3.0]);
-        let topo = TopoOrder::new(&d);
         let all = NodeSet::full(3);
-        let cp = critical_path_within(&d, &topo, &all, |v| *d.weight(v));
+        let cp = critical_path_within(&d, &all, |v| *d.weight(v));
         assert!((cp - 6.0).abs() < 1e-12);
         // Dropping the middle node splits the cut: cp = max(1, 3).
         let cut = NodeSet::from_ids(3, [ids[0], ids[2]]);
-        let cp = critical_path_within(&d, &topo, &cut, |v| *d.weight(v));
+        let cp = critical_path_within(&d, &cut, |v| *d.weight(v));
         assert!((cp - 3.0).abs() < 1e-12);
     }
 
@@ -180,54 +86,13 @@ mod tests {
         d.add_edge(a, c).unwrap();
         d.add_edge(b, e).unwrap();
         d.add_edge(c, e).unwrap();
-        let topo = TopoOrder::new(&d);
-        let cp = critical_path_within(&d, &topo, &NodeSet::full(4), |v| *d.weight(v));
+        let cp = critical_path_within(&d, &NodeSet::full(4), |v| *d.weight(v));
         assert!((cp - 7.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn up_down_consistency() {
-        let (d, _) = chain_with_delays(&[1.0, 1.0, 1.0, 1.0]);
-        let topo = TopoOrder::new(&d);
-        let all = NodeSet::full(4);
-        let ud = up_down_within(&d, &topo, &all, |v| *d.weight(v));
-        for v in d.node_ids() {
-            // up + down - delay == total path through v == critical here
-            let through = ud.up[v.index()] + ud.down[v.index()] - *d.weight(v);
-            assert!((through - ud.critical).abs() < 1e-12);
-        }
     }
 
     #[test]
     fn empty_cut_zero_critical() {
         let (d, _) = chain_with_delays(&[1.0, 1.0]);
-        let topo = TopoOrder::new(&d);
-        let ud = up_down_within(&d, &topo, &NodeSet::new(2), |_| 1.0);
-        assert_eq!(ud.critical, 0.0);
-    }
-
-    #[test]
-    fn barrier_distances() {
-        // b0 -> x -> y -> z, b0 is a barrier; z's nearest down barrier: none.
-        let mut d: Dag<()> = Dag::new();
-        let b0 = d.add_node(());
-        let x = d.add_node(());
-        let y = d.add_node(());
-        let z = d.add_node(());
-        d.add_edge(b0, x).unwrap();
-        d.add_edge(x, y).unwrap();
-        d.add_edge(y, z).unwrap();
-        let topo = TopoOrder::new(&d);
-        let up = barrier_distance_up(&d, &topo, |v| v == b0);
-        assert_eq!(up[b0.index()], 0);
-        assert_eq!(up[x.index()], 1);
-        assert_eq!(up[y.index()], 2);
-        assert_eq!(up[z.index()], 3);
-        let down = barrier_distance_down(&d, &topo, |v| v == b0);
-        assert_eq!(down[z.index()], u32::MAX);
-        assert_eq!(down[b0.index()], 0);
-        let down_z = barrier_distance_down(&d, &topo, |v| v == z);
-        assert_eq!(down_z[b0.index()], 3);
-        assert_eq!(down_z[y.index()], 1);
+        assert_eq!(critical_path_within(&d, &NodeSet::new(2), |_| 1.0), 0.0);
     }
 }

@@ -1,4 +1,4 @@
-use crate::{Dag, NodeId, NodeSet, TopoOrder};
+use crate::{Dag, NodeId, NodeSet};
 
 /// Transitive closure of a [`Dag`]: per-node ancestor and descendant
 /// bitsets.
@@ -9,7 +9,7 @@ use crate::{Dag, NodeId, NodeSet, TopoOrder};
 /// (§4.3).
 ///
 /// ```
-/// use isegen_graph::{Dag, TopoOrder, Reachability};
+/// use isegen_graph::{Dag, Reachability};
 ///
 /// # fn main() -> Result<(), isegen_graph::GraphError> {
 /// let mut dag: Dag<()> = Dag::new();
@@ -18,7 +18,7 @@ use crate::{Dag, NodeId, NodeSet, TopoOrder};
 /// let c = dag.add_node(());
 /// dag.add_edge(a, b)?;
 /// dag.add_edge(b, c)?;
-/// let reach = Reachability::new(&dag, &TopoOrder::new(&dag));
+/// let reach = Reachability::new(&dag);
 /// assert!(reach.reaches(a, c));
 /// assert!(!reach.reaches(c, a));
 /// # Ok(())
@@ -31,36 +31,29 @@ pub struct Reachability {
 }
 
 impl Reachability {
-    /// Computes the transitive closure of `dag` using `topo`.
+    /// Computes the transitive closure of `dag`.
     ///
-    /// # Panics
-    ///
-    /// Panics if `topo` was not computed from `dag`.
-    pub fn new<N>(dag: &Dag<N>, topo: &TopoOrder) -> Self {
+    /// Node ids are a topological order, so a descending sweep finds every
+    /// successor's descendants settled (and an ascending one every
+    /// predecessor's ancestors); each row is unioned in place from the
+    /// already-final rows on the other side of a `split_at_mut`.
+    pub fn new<N>(dag: &Dag<N>) -> Self {
         let n = dag.node_count();
-        assert_eq!(topo.len(), n, "topological order does not match graph");
         let mut desc = vec![NodeSet::new(n); n];
-        // Reverse topological order: descendants of v = succs ∪ their descendants.
-        for &v in topo.order().iter().rev() {
-            let mut set = NodeSet::new(n);
-            for &s in dag.succs(v) {
-                set.insert(s);
-                // Clone-free union: split_at_mut not possible across Vec<NodeSet>
-                // of different indices cheaply; use a scratch borrow instead.
-                let succ_desc = desc[s.index()].clone();
-                set.union_with(&succ_desc);
+        for i in (0..n).rev() {
+            let (row, later) = desc.split_at_mut(i + 1);
+            for &s in dag.succs(NodeId::from_index(i)) {
+                row[i].insert(s);
+                row[i].union_with(&later[s.index() - i - 1]);
             }
-            desc[v.index()] = set;
         }
         let mut anc = vec![NodeSet::new(n); n];
-        for &v in topo.order() {
-            let mut set = NodeSet::new(n);
-            for &p in dag.preds(v) {
-                set.insert(p);
-                let pred_anc = anc[p.index()].clone();
-                set.union_with(&pred_anc);
+        for i in 0..n {
+            let (earlier, row) = anc.split_at_mut(i);
+            for &p in dag.preds(NodeId::from_index(i)) {
+                row[0].insert(p);
+                row[0].union_with(&earlier[p.index()]);
             }
-            anc[v.index()] = set;
         }
         Reachability { desc, anc }
     }
@@ -105,7 +98,7 @@ mod tests {
         d.add_edge(a, c).unwrap();
         d.add_edge(b, e).unwrap();
         d.add_edge(c, e).unwrap();
-        let r = Reachability::new(&d, &TopoOrder::new(&d));
+        let r = Reachability::new(&d);
         assert!(r.reaches(a, e));
         assert!(r.reaches(a, b));
         assert!(!r.reaches(b, c));
@@ -123,7 +116,7 @@ mod tests {
         let b = d.add_node(());
         d.add_edge(a, b).unwrap();
         d.add_edge(a, b).unwrap();
-        let r = Reachability::new(&d, &TopoOrder::new(&d));
+        let r = Reachability::new(&d);
         assert!(r.reaches(a, b));
         assert_eq!(r.descendants(a).len(), 1);
     }

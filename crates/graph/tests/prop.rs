@@ -1,7 +1,7 @@
 //! Property-based tests for the graph substrate.
 
 use isegen_graph::gen::{random_dag, RandomDagConfig};
-use isegen_graph::{convex, path, Dag, NodeId, NodeSet, Reachability, TopoOrder};
+use isegen_graph::{convex, path, Dag, NodeId, NodeSet, Reachability};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -37,17 +37,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn topo_order_respects_all_edges(dag in arb_dag()) {
-        let topo = TopoOrder::new(&dag);
+    fn edges_run_forward_in_id_order(dag in arb_dag()) {
         for (src, dst) in dag.edges() {
-            prop_assert!(topo.rank(src) < topo.rank(dst));
+            prop_assert!(src < dst);
         }
     }
 
     #[test]
     fn reachability_matches_dfs(dag in arb_dag()) {
-        let topo = TopoOrder::new(&dag);
-        let reach = Reachability::new(&dag, &topo);
+        let reach = Reachability::new(&dag);
         for a in dag.node_ids() {
             for b in dag.node_ids() {
                 if a == b { continue; }
@@ -62,8 +60,7 @@ proptest! {
         let n = d.node_count();
         (Just(d), arb_cut(n))
     })) {
-        let topo = TopoOrder::new(&dag);
-        let reach = Reachability::new(&dag, &topo);
+        let reach = Reachability::new(&dag);
         let cut = to_set(&bits);
         prop_assert_eq!(
             convex::is_convex(&reach, &cut),
@@ -73,8 +70,7 @@ proptest! {
 
     #[test]
     fn ancestors_and_descendants_are_duals(dag in arb_dag()) {
-        let topo = TopoOrder::new(&dag);
-        let reach = Reachability::new(&dag, &topo);
+        let reach = Reachability::new(&dag);
         for a in dag.node_ids() {
             for b in reach.descendants(a).iter() {
                 prop_assert!(reach.ancestors(b).contains(a));
@@ -87,9 +83,8 @@ proptest! {
         let n = d.node_count();
         (Just(d), arb_cut(n))
     })) {
-        let topo = TopoOrder::new(&dag);
         let cut = to_set(&bits);
-        let cp = path::critical_path_within(&dag, &topo, &cut, |_| 1.0);
+        let cp = path::critical_path_within(&dag, &cut, |_| 1.0);
         prop_assert!(cp <= cut.len() as f64 + 1e-9);
         if !cut.is_empty() {
             prop_assert!(cp >= 1.0 - 1e-9);
@@ -101,11 +96,10 @@ proptest! {
         let n = d.node_count();
         (Just(d), arb_cut(n))
     })) {
-        let topo = TopoOrder::new(&dag);
         let cut = to_set(&bits);
-        let cp_small = path::critical_path_within(&dag, &topo, &cut, |_| 1.0);
+        let cp_small = path::critical_path_within(&dag, &cut, |_| 1.0);
         let all = NodeSet::full(dag.node_count());
-        let cp_all = path::critical_path_within(&dag, &topo, &all, |_| 1.0);
+        let cp_all = path::critical_path_within(&dag, &all, |_| 1.0);
         prop_assert!(cp_small <= cp_all + 1e-9);
     }
 
@@ -135,24 +129,4 @@ proptest! {
         prop_assert_eq!(c, a);
     }
 
-    #[test]
-    fn barrier_distances_are_consistent(dag in arb_dag()) {
-        let topo = TopoOrder::new(&dag);
-        // every 5th node is a barrier
-        let barrier = |v: NodeId| v.index().is_multiple_of(5);
-        let up = path::barrier_distance_up(&dag, &topo, barrier);
-        for v in dag.node_ids() {
-            if barrier(v) {
-                prop_assert_eq!(up[v.index()], 0);
-            } else {
-                let best = dag
-                    .preds(v)
-                    .iter()
-                    .map(|p| up[p.index()].saturating_add(1))
-                    .min()
-                    .unwrap_or(u32::MAX);
-                prop_assert_eq!(up[v.index()], best);
-            }
-        }
-    }
 }

@@ -63,8 +63,9 @@ impl BlockBuilder {
     /// # Errors
     ///
     /// * [`BuildError::Arity`] if `operands.len() != opcode.arity()`.
-    /// * [`BuildError::Graph`] if an operand id is invalid. (Cycles are
-    ///   impossible: operands always precede the new node.)
+    /// * [`BuildError::Graph`] if an operand id is invalid. (Backward
+    ///   edges are impossible: operands always precede the new node, so
+    ///   ids stay a topological order.)
     pub fn op(&mut self, opcode: Opcode, operands: &[NodeId]) -> Result<NodeId, BuildError> {
         if operands.len() != opcode.arity() {
             return Err(BuildError::Arity {

@@ -81,8 +81,9 @@ mod tests {
 
     #[test]
     fn graph_error_chains() {
-        let inner = GraphError::SelfLoop {
-            node: NodeId::from_index(0),
+        let inner = GraphError::BackwardEdge {
+            src: NodeId::from_index(0),
+            dst: NodeId::from_index(0),
         };
         let e = BuildError::from(inner);
         assert!(Error::source(&e).is_some());

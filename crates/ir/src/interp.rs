@@ -9,7 +9,7 @@
 //! exactly the values this interpreter computes.
 
 use crate::{BasicBlock, Opcode};
-use isegen_graph::{NodeId, TopoOrder};
+use isegen_graph::NodeId;
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
@@ -127,10 +127,11 @@ impl Error for ExecError {}
 /// as 0). Returns the computed value of every node, indexed by node id
 /// (`Store` nodes yield the stored value).
 ///
-/// Memory operations execute in topological order: accesses with no
-/// data dependence between them may be reordered, exactly as a compiler
-/// would be free to schedule them. Programs that need a specific
-/// load/store order must express it through data dependencies.
+/// Memory operations execute in topological order — concretely node-id
+/// (program) order, which is one: accesses with no data dependence
+/// between them may be reordered, exactly as a compiler would be free to
+/// schedule them. Programs that need a specific load/store order must
+/// express it through data dependencies.
 ///
 /// # Errors
 ///
@@ -141,10 +142,9 @@ pub fn execute(
     memory: &mut BTreeMap<u32, u32>,
 ) -> Result<Vec<u32>, ExecError> {
     let dag = block.dag();
-    let topo = TopoOrder::new(dag);
     let mut values = vec![0u32; dag.node_count()];
     let mut args: Vec<u32> = Vec::with_capacity(3);
-    for &v in topo.order() {
+    for v in dag.node_ids() {
         let op = block.opcode(v);
         args.clear();
         args.extend(dag.preds(v).iter().map(|p| values[p.index()]));

@@ -1,7 +1,6 @@
 use crate::{emit_verilog, AreaModel, Netlist, RtlError};
 use isegen_core::IseSelection;
 use isegen_graph::path;
-use isegen_graph::TopoOrder;
 use isegen_ir::{Application, LatencyModel};
 use std::fmt::Write as _;
 
@@ -77,8 +76,7 @@ impl AfuLibrary {
                 let netlist = Netlist::from_cut(block, ise.cut.nodes())?;
                 let name = format!("ise{k}");
                 let verilog = emit_verilog(&netlist, &name)?;
-                let topo = TopoOrder::new(block.dag());
-                let delay = path::critical_path_within(block.dag(), &topo, ise.cut.nodes(), |v| {
+                let delay = path::critical_path_within(block.dag(), ise.cut.nodes(), |v| {
                     model.hw_delay(block.opcode(v))
                 });
                 Ok(AfuInstruction {

@@ -1,5 +1,5 @@
 use crate::RtlError;
-use isegen_graph::{NodeId, NodeSet, TopoOrder};
+use isegen_graph::{Dag, NodeId, NodeSet};
 use isegen_ir::interp::eval_opcode;
 use isegen_ir::{BasicBlock, Opcode};
 
@@ -90,10 +90,10 @@ impl Netlist {
             port_of[p.index()] = i as u32;
         }
 
-        // Cells in topological order of the original block.
-        let topo = TopoOrder::new(dag);
+        // Cells in Kahn order of the original block.
+        let rank = kahn_rank(dag);
         let mut cell_nodes: Vec<NodeId> = cut.iter().collect();
-        cell_nodes.sort_unstable_by_key(|&v| topo.rank(v));
+        cell_nodes.sort_unstable_by_key(|&v| rank[v.index()]);
         let mut cell_of = vec![u32::MAX; dag.node_count()];
         for (i, &v) in cell_nodes.iter().enumerate() {
             cell_of[v.index()] = i as u32;
@@ -259,6 +259,28 @@ impl Netlist {
         }
         Ok(out)
     }
+}
+
+/// Kahn's-algorithm rank of every node (sources seeded in id order, then
+/// first-in first-out). Node ids are already a topological order, but
+/// this one differs from it on many blocks and fixes the emitted cell
+/// order, so generated Verilog stays stable.
+fn kahn_rank<N>(dag: &Dag<N>) -> Vec<u32> {
+    let mut indeg: Vec<usize> = dag.node_ids().map(|v| dag.in_degree(v)).collect();
+    let mut ready: Vec<NodeId> = dag.node_ids().filter(|&v| indeg[v.index()] == 0).collect();
+    let mut rank = vec![0u32; dag.node_count()];
+    let mut head = 0;
+    while let Some(&v) = ready.get(head) {
+        rank[v.index()] = head as u32;
+        head += 1;
+        for &s in dag.succs(v) {
+            indeg[s.index()] -= 1;
+            if indeg[s.index()] == 0 {
+                ready.push(s);
+            }
+        }
+    }
+    rank
 }
 
 #[cfg(test)]

@@ -32,11 +32,12 @@ proptest! {
     /// any divergence between the live incremental state and the
     /// from-scratch rebuild panics inside the search, so completing at
     /// all asserts zero divergences. The audited outcome must also match
-    /// the unaudited one exactly.
+    /// the unaudited one exactly. Blocks reach 160 ops so the
+    /// longest-path worklist walks across 64-bit word boundaries.
     #[test]
     fn audit_is_silent_and_invisible_on_random_dags(
         seed in any::<u64>(),
-        ops in 8usize..48,
+        ops in 8usize..160,
     ) {
         let app = random_application(&RandomWorkloadConfig {
             seed,
