@@ -254,7 +254,7 @@ pub fn run_genetic(
 ) -> IseSelection {
     Generator::new(*config)
         .finder(GeneticFinder::new(*genetic))
-        .run_sequential(app, model)
+        .run(app, model)
 }
 
 #[cfg(test)]

@@ -75,7 +75,7 @@ pub fn run_iterative(
     exact: &ExactConfig,
 ) -> Result<IseSelection, BaselineError> {
     let mut gen = Generator::new(*config).finder(IterativeExactFinder::new(*exact));
-    let sel = gen.run_sequential(app, model);
+    let sel = gen.run(app, model);
     match gen.finder_ref().error() {
         Some(e) => Err(e),
         None => Ok(sel),

@@ -110,7 +110,7 @@ impl MultilevelConfig {
     }
 
     /// Clamps every knob into its sane operating range.
-    fn normalized(&self) -> MultilevelConfig {
+    pub(crate) fn normalized(&self) -> MultilevelConfig {
         MultilevelConfig {
             min_coarse_ops: self.min_coarse_ops.max(8),
             max_levels: self.max_levels.clamp(1, 32),
@@ -486,7 +486,9 @@ fn refine_level(
 /// The multilevel V-cycle: coarsen, search the coarsest level with the
 /// full portfolio, then project-and-refine back down to the original
 /// block. Falls back to the single-level portfolio when coarsening
-/// stalls or the cycle bottoms out empty.
+/// stalls or the cycle bottoms out empty. `ml` is already
+/// [normalized](MultilevelConfig::normalized): the caller gates on the
+/// same clamped `min_coarse_ops` the V-cycle coarsens to.
 pub(crate) fn multilevel_search(
     ctx: &BlockContext<'_>,
     io: IoConstraints,
@@ -496,9 +498,8 @@ pub(crate) fn multilevel_search(
     threads: usize,
     pool: &mut Vec<SearchScratch>,
 ) -> (Cut, CacheStats, Option<MultilevelReport>) {
-    let ml = ml.normalized();
     let t0 = Instant::now();
-    let levels = build_hierarchy(ctx, free, &ml);
+    let levels = build_hierarchy(ctx, free, ml);
     let coarsen_wall_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     let mut stats = CacheStats::default();
@@ -535,7 +536,7 @@ pub(crate) fn multilevel_search(
 
         // Uncoarsen: project each level's cut one level down and refine.
         let knobs = RefineKnobs {
-            ml: &ml,
+            ml,
             io,
             config,
             threads,
@@ -722,6 +723,24 @@ mod tests {
         );
         assert_eq!(plain.stats, ml.stats);
         assert!(ml.multilevel.is_none(), "the pipeline must not have run");
+    }
+
+    #[test]
+    fn dispatch_gates_on_the_clamped_threshold() {
+        // 6 free ops sit above a raw `min_coarse_ops` of 4 but below the
+        // clamped floor of 8 the V-cycle coarsens to: the plain search runs.
+        let block = chain_block(5);
+        let model = LatencyModel::paper_default();
+        let ctx = BlockContext::new(&block, &model);
+        assert_eq!(ctx.eligible().len(), 6);
+        let io = IoConstraints::new(4, 2);
+        let plain = Search::new(SearchConfig::default()).run(&ctx, io);
+        let config =
+            SearchConfig::default().with_multilevel(MultilevelConfig::new().with_min_coarse_ops(4));
+        let ml = Search::new(config).run(&ctx, io);
+        assert_eq!(ml.multilevel, None, "the pipeline must not have run");
+        assert_eq!(plain.cut, ml.cut);
+        assert_eq!(plain.stats, ml.stats);
     }
 
     #[test]

@@ -22,9 +22,8 @@ pub trait CutFinder {
         forbidden: Option<&NodeSet>,
     ) -> Cut;
 
-    /// [`CutFinder::find_cut`] with a thread budget for *intra-block*
-    /// parallelism. The batched driver splits its overall budget between
-    /// block-level waves and each block's search and passes the share
+    /// [`CutFinder::find_cut`] with a thread budget for the search
+    /// itself: the driver passes its whole [`Generator::threads`] budget
     /// here. The result must not depend on `threads` (parallel finders
     /// are required to be byte-identical at every thread count); the
     /// default implementation ignores the budget and searches
@@ -143,11 +142,9 @@ impl IseSelection {
 /// ```
 ///
 /// The defaults run ISEGEN ([`IsegenFinder`]) sequentially; swap the
-/// algorithm with [`Generator::finder`] (any [`CutFinder`]) and fan
-/// block searches out with [`Generator::threads`]. With more than one
-/// thread the driver batches: cut memoisation plus speculative search
-/// waves, byte-identical to the sequential driver at every thread count
-/// (see [`Generator::run`] for the exact guarantee).
+/// algorithm with [`Generator::finder`] (any [`CutFinder`]) and give
+/// every cut search a thread budget with [`Generator::threads`]. The
+/// selection is byte-identical at every thread count.
 #[derive(Debug, Clone)]
 pub struct Generator<F = IsegenFinder> {
     config: IseConfig,
@@ -183,9 +180,10 @@ impl<F: CutFinder> Generator<F> {
         }
     }
 
-    /// Thread budget for the batched driver (`1`, the default, runs the
-    /// sequential driver; `0` is treated as `1`). The budget feeds both
-    /// block-level waves and each block's intra-block portfolio.
+    /// Thread budget of every cut search (`1`, the default, searches
+    /// sequentially; `0` is treated as `1`). The driver hands the whole
+    /// budget to each search through [`CutFinder::find_cut_budget`];
+    /// ISEGEN fans its K-L trajectory portfolio out over it.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -207,26 +205,8 @@ impl<F: CutFinder> Generator<F> {
         self.finder
     }
 
-    /// Runs the sequential driver regardless of the thread budget — the
-    /// entry point for finders that are not `Clone + Send + Sync`.
-    pub fn run_sequential(&mut self, app: &Application, model: &LatencyModel) -> IseSelection {
-        let contexts: Vec<BlockContext<'_>> = app
-            .blocks()
-            .iter()
-            .map(|b| BlockContext::new(b, model))
-            .collect();
-        run_sequential_in_contexts(&mut self.finder, &contexts, &self.config)
-    }
-}
-
-impl<F: CutFinder + Clone + Send + Sync> Generator<F> {
     /// Runs the driver end to end on an application: block ranking, up
     /// to `N_ISE` cut searches, optional instance reuse.
-    ///
-    /// With `threads > 1` the batched driver runs; its output is
-    /// **byte-identical to the sequential driver** for any finder whose
-    /// `find_cut_budget` is a pure function of `(ctx, io, forbidden)` —
-    /// true of every finder in this workspace.
     pub fn run(&mut self, app: &Application, model: &LatencyModel) -> IseSelection {
         let contexts: Vec<BlockContext<'_>> = app
             .blocks()
@@ -243,177 +223,59 @@ impl<F: CutFinder + Clone + Send + Sync> Generator<F> {
     /// reattaches cached [`crate::ContextData`] instead of recomputing
     /// transitive closures per request.
     pub fn run_in_contexts(&mut self, contexts: &[BlockContext<'_>]) -> IseSelection {
-        if self.threads > 1 {
-            run_batched_in_contexts(&self.finder, contexts, &self.config, self.threads)
-        } else {
-            run_sequential_in_contexts(&mut self.finder, contexts, &self.config)
-        }
-    }
-}
-
-/// The sequential Problem-2 driver under [`Generator`].
-fn run_sequential_in_contexts<F: CutFinder + ?Sized>(
-    finder: &mut F,
-    contexts: &[BlockContext<'_>],
-    config: &IseConfig,
-) -> IseSelection {
-    let blocks: Vec<&isegen_ir::BasicBlock> = contexts.iter().map(|c| c.block()).collect();
-    let blocks = &blocks[..];
-    let mut covered: Vec<NodeSet> = blocks
-        .iter()
-        .map(|b| NodeSet::new(b.dag().node_count()))
-        .collect();
-    let total_sw_cycles = total_sw_cycles(blocks, contexts);
-    let mut saved_cycles = 0u64;
-    let mut ises = Vec::new();
-
-    for _ in 0..config.max_ises {
-        // Rank blocks by remaining speedup potential.
-        let order = rank_blocks(blocks, contexts, &covered);
-        let potential = |bi: usize| -> u64 {
-            blocks[bi].frequency() * contexts[bi].potential(Some(&covered[bi]))
-        };
-
-        let mut found: Option<(usize, Cut)> = None;
-        for &bi in &order {
-            if potential(bi) == 0 {
-                continue;
-            }
-            let cut = finder.find_cut(&contexts[bi], config.io, Some(&covered[bi]));
-            if !cut.is_empty() && cut.saved_cycles() > 0 {
-                found = Some((bi, cut));
-                break;
-            }
-        }
-        let Some((bi, cut)) = found else { break };
-
-        deploy_cut(
-            blocks,
-            contexts,
-            config,
-            &mut covered,
-            &mut ises,
-            &mut saved_cycles,
-            bi,
-            cut,
-        );
-    }
-
-    IseSelection {
-        ises,
-        total_sw_cycles,
-        saved_cycles,
-    }
-}
-
-/// The batched Problem-2 driver under [`Generator`]: block searches fan
-/// out over `threads` hand-rolled scoped threads — the ROADMAP's
-/// *batched multi-block driver*.
-///
-/// Two mechanisms stack on top of the sequential driver:
-///
-/// * **Cut memoisation.** A cut found for block `b` stays valid until an
-///   accepted ISE claims nodes in `b`, so blocks the sequential driver
-///   re-searches every iteration (high-potential blocks that keep
-///   failing, or blocks searched past on the way to a success) are
-///   searched once. Even at `threads = 1` the batched driver therefore
-///   performs a subset of the sequential driver's searches.
-/// * **Speculative waves.** When the next ranked block has no memoised
-///   cut, the driver searches it *and* the following un-memoised
-///   promising blocks concurrently, `threads` at a time. Speculation is
-///   never wasted: every wave result is memoised and consumed by a later
-///   iteration unless coverage invalidates it first.
-///
-/// The `threads` budget feeds **two** parallelism levels: wave-level
-/// workers, and — when a wave is shorter than the budget — each block
-/// search's intra-block portfolio via [`CutFinder::find_cut_budget`]
-/// (a single huge block gets the whole budget as portfolio threads).
-///
-/// Results are consumed strictly in rank order and waves merge by block
-/// index, so the output is deterministic and **byte-identical to the
-/// sequential driver** for any finder whose `find_cut_budget` is a pure
-/// function of `(ctx, io, forbidden)` — independent of the thread
-/// budget and of any retained working state. True of every finder in
-/// this workspace: [`IsegenFinder`] keeps search *arenas* between
-/// calls, but resets them before every trajectory.
-fn run_batched_in_contexts<F>(
-    finder: &F,
-    contexts: &[BlockContext<'_>],
-    config: &IseConfig,
-    threads: usize,
-) -> IseSelection
-where
-    F: CutFinder + Clone + Send + Sync,
-{
-    let blocks: Vec<&isegen_ir::BasicBlock> = contexts.iter().map(|c| c.block()).collect();
-    let blocks = &blocks[..];
-    let mut covered: Vec<NodeSet> = blocks
-        .iter()
-        .map(|b| NodeSet::new(b.dag().node_count()))
-        .collect();
-    let total_sw_cycles = total_sw_cycles(blocks, contexts);
-    let mut saved_cycles = 0u64;
-    let mut ises = Vec::new();
-    // Cut found for block `bi` against the *current* covered[bi]; carried
-    // across iterations until covered[bi] changes.
-    let mut cut_cache: Vec<Option<Cut>> = vec![None; blocks.len()];
-
-    for _ in 0..config.max_ises {
-        let order = rank_blocks(blocks, contexts, &covered);
-        let potential = |bi: usize| -> u64 {
-            blocks[bi].frequency() * contexts[bi].potential(Some(&covered[bi]))
-        };
-        let viable: Vec<usize> = order
+        let config = &self.config;
+        let blocks: Vec<&isegen_ir::BasicBlock> = contexts.iter().map(|c| c.block()).collect();
+        let blocks = &blocks[..];
+        let mut covered: Vec<NodeSet> = blocks
             .iter()
-            .copied()
-            .filter(|&bi| potential(bi) > 0)
+            .map(|b| NodeSet::new(b.dag().node_count()))
             .collect();
+        let total_sw_cycles = total_sw_cycles(blocks, contexts);
+        let mut saved_cycles = 0u64;
+        let mut ises = Vec::new();
 
-        // Walk the ranking; search in speculative waves where memoised
-        // cuts are missing; accept the first profitable cut — the
-        // sequential driver's exact choice.
-        let mut found: Option<(usize, Cut)> = None;
-        for (idx, &bi) in viable.iter().enumerate() {
-            if cut_cache[bi].is_none() {
-                let wave: Vec<usize> = viable[idx..]
-                    .iter()
-                    .copied()
-                    .filter(|&bj| cut_cache[bj].is_none())
-                    .take(threads.max(1))
-                    .collect();
-                for (bj, cut) in
-                    search_blocks(finder, contexts, &covered, config.io, &wave, threads)
-                {
-                    cut_cache[bj] = Some(cut);
+        for _ in 0..config.max_ises {
+            // Rank blocks by remaining speedup potential.
+            let order = rank_blocks(blocks, contexts, &covered);
+            let potential = |bi: usize| -> u64 {
+                blocks[bi].frequency() * contexts[bi].potential(Some(&covered[bi]))
+            };
+
+            let mut found: Option<(usize, Cut)> = None;
+            for &bi in &order {
+                if potential(bi) == 0 {
+                    continue;
+                }
+                let cut = self.finder.find_cut_budget(
+                    &contexts[bi],
+                    config.io,
+                    Some(&covered[bi]),
+                    self.threads,
+                );
+                if !cut.is_empty() && cut.saved_cycles() > 0 {
+                    found = Some((bi, cut));
+                    break;
                 }
             }
-            let cut = cut_cache[bi].as_ref().expect("searched above");
-            if !cut.is_empty() && cut.saved_cycles() > 0 {
-                found = Some((bi, cut.clone()));
-                break;
-            }
-        }
-        let Some((bi, cut)) = found else { break };
+            let Some((bi, cut)) = found else { break };
 
-        let touched = deploy_cut(
-            blocks,
-            contexts,
-            config,
-            &mut covered,
-            &mut ises,
-            &mut saved_cycles,
-            bi,
-            cut,
-        );
-        for bj in touched {
-            cut_cache[bj] = None;
+            deploy_cut(
+                blocks,
+                contexts,
+                config,
+                &mut covered,
+                &mut ises,
+                &mut saved_cycles,
+                bi,
+                cut,
+            );
         }
-    }
 
-    IseSelection {
-        ises,
-        total_sw_cycles,
-        saved_cycles,
+        IseSelection {
+            ises,
+            total_sw_cycles,
+            saved_cycles,
+        }
     }
 }
 
@@ -442,94 +304,8 @@ fn rank_blocks(
     order
 }
 
-/// Searches `pending` blocks concurrently on up to `threads` scoped
-/// threads (an atomic cursor deals work; results merge by block index,
-/// so the outcome is independent of scheduling). The finder is cloned
-/// once per worker, so per-worker search arenas stay warm across the
-/// blocks of a wave.
-///
-/// The thread budget is split between the two parallelism levels: a
-/// wave of `k` blocks runs on `min(threads, k)` workers, and each
-/// worker hands its block search `⌊threads / workers⌋` portfolio
-/// threads ([`CutFinder::find_cut_budget`]). Full waves therefore run
-/// searches inline, while a short wave — typically one big block —
-/// spends the spare budget *inside* the block. Both levels are
-/// byte-identical to sequential at any count, so the split never
-/// changes results, only wall time.
-/// Deals `items` to one scoped worker thread per element of `states`
-/// via an atomic cursor, applying `f` to each item with the worker's
-/// mutable state, and returns the results **in item order** — the
-/// shared scaffolding of the batched driver's block waves and the K-L
-/// portfolio fan-out. With a single state (or a single item) it runs
-/// inline on `states[0]`. Which worker processes which item is
-/// scheduling-dependent; the output order is not, so callers stay
-/// deterministic as long as `f` itself is.
-pub(crate) fn deal_indexed<I, S, T>(
-    items: &[I],
-    states: &mut [S],
-    f: impl Fn(&I, &mut S) -> T + Send + Sync,
-) -> Vec<T>
-where
-    I: Sync,
-    S: Send,
-    T: Send,
-{
-    assert!(!states.is_empty(), "deal_indexed needs at least one state");
-    if states.len() == 1 || items.len() <= 1 {
-        let state = &mut states[0];
-        return items.iter().map(|item| f(item, state)).collect();
-    }
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(items.len()));
-    std::thread::scope(|scope| {
-        for state in states.iter_mut() {
-            let next = &next;
-            let slots = &slots;
-            let f = &f;
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(i) else { break };
-                let out = f(item, state);
-                slots.lock().expect("pool worker panicked").push((i, out));
-            });
-        }
-    });
-    let mut out = slots.into_inner().expect("pool worker panicked");
-    out.sort_unstable_by_key(|&(i, _)| i);
-    out.into_iter().map(|(_, r)| r).collect()
-}
-
-fn search_blocks<F>(
-    finder: &F,
-    contexts: &[BlockContext<'_>],
-    covered: &[NodeSet],
-    io: IoConstraints,
-    pending: &[usize],
-    threads: usize,
-) -> Vec<(usize, Cut)>
-where
-    F: CutFinder + Clone + Send + Sync,
-{
-    let threads = threads.max(1);
-    let workers = threads.min(pending.len()).max(1);
-    let per_search = (threads / workers).max(1);
-    // One finder clone per worker: warm search arenas are reused across
-    // the blocks a worker draws from the wave.
-    let mut finders: Vec<F> = (0..workers).map(|_| finder.clone()).collect();
-    deal_indexed(pending, &mut finders, |&bi, f| {
-        (
-            bi,
-            f.find_cut_budget(&contexts[bi], io, Some(&covered[bi]), per_search),
-        )
-    })
-}
-
 /// Accepts `cut` in block `bi`: locks its nodes, deploys reuse instances
-/// when configured, accumulates savings and appends the [`Ise`]. Returns
-/// the indices of every block whose covered set changed (for cut-cache
-/// invalidation in the batched driver).
+/// when configured, accumulates savings and appends the [`Ise`].
 #[allow(clippy::too_many_arguments)]
 fn deploy_cut(
     blocks: &[&isegen_ir::BasicBlock],
@@ -540,10 +316,9 @@ fn deploy_cut(
     saved_cycles: &mut u64,
     bi: usize,
     cut: Cut,
-) -> Vec<usize> {
+) {
     let saved_per_execution = cut.saved_cycles();
     covered[bi].union_with(cut.nodes());
-    let mut touched = vec![bi];
     let mut instances = vec![IseInstance {
         block_index: bi,
         nodes: cut.nodes().clone(),
@@ -559,9 +334,6 @@ fn deploy_cut(
                 let instance_cut = Cut::evaluate(&contexts[bj], candidate.clone());
                 if contexts[bj].is_convex(&candidate) && instance_cut.satisfies_io(config.io) {
                     covered[bj].union_with(&candidate);
-                    if touched.last() != Some(&bj) {
-                        touched.push(bj);
-                    }
                     instances.push(IseInstance {
                         block_index: bj,
                         nodes: candidate,
@@ -580,7 +352,6 @@ fn deploy_cut(
         instances,
         saved_per_execution,
     });
-    touched
 }
 
 #[cfg(test)]
@@ -690,38 +461,31 @@ mod tests {
     }
 
     #[test]
-    fn batched_driver_matches_sequential() {
-        let mut app = Application::new("many");
+    fn threads_do_not_change_the_selection() {
+        let mut many = Application::new("many");
         for f in [7u64, 100, 3, 1_000, 55, 21] {
-            app.push_block(twin_block(f));
+            many.push_block(twin_block(f));
         }
+        let mut one = Application::new("one");
+        one.push_block(twin_block(10));
         let model = LatencyModel::paper_default();
-        for reuse in [false, true] {
+        for (app, reuse) in [(&many, false), (&many, true), (&one, true)] {
             let config = IseConfig {
                 io: IoConstraints::new(4, 2),
                 max_ises: 5,
                 reuse_matching: reuse,
             };
-            let sequential = Generator::new(config).run(&app, &model);
-            for threads in [1usize, 2, 4, 8] {
-                let batched = Generator::new(config).threads(threads).run(&app, &model);
+            let sequential = Generator::new(config).run(app, &model);
+            for threads in [2usize, 4, 8] {
+                let threaded = Generator::new(config).threads(threads).run(app, &model);
                 assert_eq!(
-                    batched, sequential,
-                    "batched ({threads} threads, reuse={reuse}) diverged from sequential"
+                    threaded,
+                    sequential,
+                    "{} at {threads} threads (reuse={reuse}) diverged from threads=1",
+                    app.name()
                 );
             }
         }
-    }
-
-    #[test]
-    fn batched_driver_single_block() {
-        let mut app = Application::new("one");
-        app.push_block(twin_block(10));
-        let model = LatencyModel::paper_default();
-        let config = IseConfig::paper_default();
-        let sequential = Generator::new(config).run(&app, &model);
-        let batched = Generator::new(config).threads(4).run(&app, &model);
-        assert_eq!(batched, sequential);
     }
 
     #[test]

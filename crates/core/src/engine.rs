@@ -91,7 +91,7 @@ pub struct ToggleEngine<'c, 'a> {
 /// block at least as large), and [`ToggleEngine::into_arena`] moves them
 /// back out when the trajectory ends.
 #[derive(Debug, Default)]
-pub struct EngineArena {
+pub(crate) struct EngineArena {
     cut: NodeSet,
     fanout_to_cut: Vec<u32>,
     indeg_from_cut: Vec<u32>,
@@ -168,7 +168,11 @@ impl<'c, 'a> ToggleEngine<'c, 'a> {
     /// # Panics
     ///
     /// Panics if `cut`'s capacity does not match the block.
-    pub fn from_cut_in(ctx: &'c BlockContext<'a>, cut: &NodeSet, arena: EngineArena) -> Self {
+    pub(crate) fn from_cut_in(
+        ctx: &'c BlockContext<'a>,
+        cut: &NodeSet,
+        arena: EngineArena,
+    ) -> Self {
         let mut engine = ToggleEngine {
             ctx,
             cut: arena.cut,
@@ -266,7 +270,7 @@ impl<'c, 'a> ToggleEngine<'c, 'a> {
 
     /// Dismantles the engine, returning its buffers for reuse by a later
     /// [`ToggleEngine::from_cut_in`].
-    pub fn into_arena(self) -> EngineArena {
+    pub(crate) fn into_arena(self) -> EngineArena {
         EngineArena {
             cut: self.cut,
             fanout_to_cut: self.fanout_to_cut,

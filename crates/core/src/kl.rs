@@ -1,12 +1,11 @@
 use crate::cache::{CacheStats, EnteringTerms, GainCache};
 use crate::coarsen::{multilevel_search, MultilevelConfig, MultilevelReport};
-use crate::driver::{deal_indexed, CutFinder};
+use crate::driver::CutFinder;
 use crate::engine::EngineArena;
 use crate::gain::gain_of;
 use crate::keyheap::{Frontier, KeyHeap};
 use crate::{BlockContext, Cut, GainWeights, IoConstraints, ToggleEngine};
 use isegen_graph::{NodeId, NodeSet};
-use std::sync::{Arc, Mutex};
 
 /// Knobs of the modified Kernighan–Lin search (paper Fig. 2).
 ///
@@ -507,8 +506,8 @@ fn search_impl(
     if free.is_empty() {
         return (Cut::empty(n), CacheStats::default(), None);
     }
-    if let Some(ml) = config.multilevel {
-        if free.len() > ml.min_coarse_ops.max(1) {
+    if let Some(ml) = config.multilevel.map(|ml| ml.normalized()) {
+        if free.len() > ml.min_coarse_ops {
             return multilevel_search(ctx, io, config, &ml, &free, threads, pool);
         }
     }
@@ -602,6 +601,50 @@ fn run_trajectories(
     deal_indexed(specs, &mut pool[..workers], |spec, scratch| {
         run_trajectory(ctx, io, free, free_nodes, spec, scratch, None)
     })
+}
+
+/// Deals `items` to one scoped worker thread per element of `states`
+/// via an atomic cursor, applying `f` to each item with the worker's
+/// mutable state, and returns the results **in item order**. With a
+/// single state (or a single item) it runs inline on `states[0]`.
+/// Which worker processes which item is scheduling-dependent; the
+/// output order is not, so callers stay deterministic as long as `f`
+/// itself is.
+fn deal_indexed<I, S, T>(
+    items: &[I],
+    states: &mut [S],
+    f: impl Fn(&I, &mut S) -> T + Send + Sync,
+) -> Vec<T>
+where
+    I: Sync,
+    S: Send,
+    T: Send,
+{
+    assert!(!states.is_empty(), "deal_indexed needs at least one state");
+    if states.len() == 1 || items.len() <= 1 {
+        let state = &mut states[0];
+        return items.iter().map(|item| f(item, state)).collect();
+    }
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
+    let next = AtomicUsize::new(0);
+    let slots: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(items.len()));
+    std::thread::scope(|scope| {
+        for state in states.iter_mut() {
+            let next = &next;
+            let slots = &slots;
+            let f = &f;
+            scope.spawn(move || loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(i) else { break };
+                let out = f(item, state);
+                slots.lock().expect("pool worker panicked").push((i, out));
+            });
+        }
+    });
+    let mut out = slots.into_inner().expect("pool worker panicked");
+    out.sort_unstable_by_key(|&(i, _)| i);
+    out.into_iter().map(|(_, r)| r).collect()
 }
 
 /// Runs the Fig. 2 pass loop for one portfolio trajectory, optionally
@@ -1006,30 +1049,14 @@ fn restart_seeds(
 /// the baseline algorithms.
 ///
 /// The finder owns a pool of [`SearchScratch`] arenas that stays warm
-/// across `find_cut` calls (and therefore across blocks), and shares a
-/// [`CacheStats`] accumulator with every clone of itself — the batched
-/// driver clones one finder per worker, and the accumulated statistics
-/// of the whole generation remain readable from the original via
+/// across `find_cut` calls (and therefore across blocks), and sums the
+/// [`CacheStats`] of every search it ran, readable via
 /// [`IsegenFinder::accumulated_stats`].
 #[derive(Debug)]
 pub struct IsegenFinder {
     config: SearchConfig,
-    portfolio_threads: usize,
     pool: Vec<SearchScratch>,
-    stats: Arc<Mutex<CacheStats>>,
-}
-
-impl Clone for IsegenFinder {
-    /// Clones share the stats accumulator but start with a cold arena
-    /// pool of their own (arenas are per-thread working memory).
-    fn clone(&self) -> Self {
-        IsegenFinder {
-            config: self.config.clone(),
-            portfolio_threads: self.portfolio_threads,
-            pool: Vec::new(),
-            stats: Arc::clone(&self.stats),
-        }
-    }
+    stats: CacheStats,
 }
 
 impl Default for IsegenFinder {
@@ -1043,23 +1070,9 @@ impl IsegenFinder {
     pub fn new(config: SearchConfig) -> Self {
         IsegenFinder {
             config,
-            portfolio_threads: 1,
             pool: Vec::new(),
-            stats: Arc::new(Mutex::new(CacheStats::default())),
+            stats: CacheStats::default(),
         }
-    }
-
-    /// Sets the intra-block portfolio thread count used by direct
-    /// `find_cut` calls, and the floor for driver-assigned budgets.
-    /// `1` (the default) searches each block sequentially.
-    pub fn with_portfolio_threads(mut self, threads: usize) -> Self {
-        self.portfolio_threads = threads.max(1);
-        self
-    }
-
-    /// The intra-block portfolio thread count.
-    pub fn portfolio_threads(&self) -> usize {
-        self.portfolio_threads
     }
 
     /// The search configuration in use.
@@ -1067,10 +1080,10 @@ impl IsegenFinder {
         &self.config
     }
 
-    /// The probe/arena statistics accumulated by every `find_cut` call
-    /// on this finder *and all its clones* since construction.
+    /// The probe/arena statistics accumulated by every search this
+    /// finder ran since construction.
     pub fn accumulated_stats(&self) -> CacheStats {
-        self.stats.lock().map(|s| *s).unwrap_or_default()
+        self.stats
     }
 }
 
@@ -1091,12 +1104,9 @@ impl CutFinder for IsegenFinder {
         forbidden: Option<&NodeSet>,
         threads: usize,
     ) -> Cut {
-        let threads = threads.max(self.portfolio_threads);
         let (cut, stats, _) =
             search_impl(ctx, io, &self.config, forbidden, threads, &mut self.pool);
-        if let Ok(mut acc) = self.stats.lock() {
-            acc.absorb(stats);
-        }
+        self.stats.absorb(stats);
         cut
     }
 

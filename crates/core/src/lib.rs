@@ -82,7 +82,7 @@ pub use constraints::IoConstraints;
 pub use context::{BlockContext, ContextData};
 pub use cut::Cut;
 pub use driver::{CutFinder, Generator, Ise, IseConfig, IseInstance, IseSelection};
-pub use engine::{EngineArena, Probe, ToggleEngine};
+pub use engine::{Probe, ToggleEngine};
 pub use gain::{GainWeights, WeightsError};
 #[doc(hidden)]
 pub use kl::trajectory_commit_trace;

@@ -25,7 +25,7 @@ use std::net::TcpStream;
 const USAGE: &str = "usage: ised_client --addr HOST:PORT [--workload NAME]... [--threads N]
   --addr HOST:PORT  the running ised daemon (required)
   --workload NAME   registry workload to verify (repeatable; default aes, fir00)
-  --threads N       request the batched driver with N threads (default 1)";
+  --threads N       thread budget of each cut search (default 1)";
 
 /// Prints the problem and the usage to stderr, then exits with code 2.
 fn usage_error(message: &str) -> ! {

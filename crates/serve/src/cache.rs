@@ -58,9 +58,9 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// Everything that distinguishes one selection run from another on the
-/// same application. Thread count is deliberately absent: the batched
-/// driver is byte-identical to the sequential one at any thread count,
-/// so one memoised selection serves them all.
+/// same application. Thread count is deliberately absent: the driver's
+/// selection is byte-identical at every thread count, so one memoised
+/// selection serves them all.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SelectionKey {
     pub(crate) io: (u32, u32),

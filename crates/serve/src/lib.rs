@@ -18,8 +18,8 @@
 //!   `(application, configuration)`. Hit/miss/eviction counters are one
 //!   `stats` request away.
 //! * **Concurrent serving** ([`Server`]): one scoped worker thread per
-//!   connection over the shared cache, reusing the batched driver for
-//!   multi-threaded selection when a request asks for it. The TCP front
+//!   connection over the shared cache; a request's `threads` budget
+//!   fans each of its cut searches out over that many threads. The TCP front
 //!   is one private module shared with [`fleet::Router`].
 //! * **Panic-proof request path**: hostile input — malformed JSON,
 //!   truncated IR, zero port budgets, non-finite, negative or over-cap

@@ -37,20 +37,19 @@
 //! canonical-IR key with retries, failover and an in-process fallback.
 //!
 //! `config` members (all optional): `io` (`[inputs, outputs]`),
-//! `max_ises`, `reuse`, `threads`, `portfolio_threads`, `max_passes`,
+//! `max_ises`, `reuse`, `threads`, `max_passes`,
 //! `restarts`, `weights` (`{"merit":…, "io_penalty":…, "affinity":…,
 //! "growth":…, "independence":…}`, each finite with magnitude at most
 //! `GainWeights::MAX_MAGNITUDE`, `merit` and `io_penalty` ≥ 0) and
 //! `multilevel`
 //! (`{"min_coarse_ops":…, "max_levels":…, "boundary_band":…}`, each
 //! member optional). Defaults are the paper's headline configuration.
-//! `threads` is the overall driver budget (block waves × intra-block
-//! portfolios, split automatically); `portfolio_threads` additionally
-//! floors the intra-block portfolio fan-out — useful when a request has
-//! one huge block and `threads` is left at 1. `multilevel` enables the
+//! `threads` is the thread budget of every cut search: the K-L
+//! trajectory portfolio fans out over it, with the selection
+//! byte-identical at every count. `multilevel` enables the
 //! coarsen→K-L→uncoarsen pipeline on blocks whose free-node count
 //! exceeds `min_coarse_ops`; smaller blocks run the single-level search
-//! unchanged.
+//! unchanged. Unknown members are ignored.
 
 use crate::json::Json;
 use isegen_core::{GainWeights, IoConstraints, IseConfig, MultilevelConfig, SearchConfig};
@@ -128,15 +127,11 @@ pub struct RequestConfig {
     pub ise: IseConfig,
     /// K-L search configuration.
     pub search: SearchConfig,
-    /// Driver thread count (1 = sequential driver). The budget is split
-    /// between block-level waves and intra-block portfolios.
-    pub threads: usize,
-    /// Floor on the intra-block portfolio thread count (1 = sequential
-    /// portfolio unless the driver assigns more from `threads`). Never
+    /// Thread budget of every cut search (1 = sequential). Never
     /// changes results — portfolio output is byte-identical at every
     /// thread count — so it is deliberately *not* part of the selection
     /// memo key.
-    pub portfolio_threads: usize,
+    pub threads: usize,
 }
 
 impl Default for RequestConfig {
@@ -145,7 +140,6 @@ impl Default for RequestConfig {
             ise: IseConfig::paper_default(),
             search: SearchConfig::default(),
             threads: 1,
-            portfolio_threads: 1,
         }
     }
 }
@@ -222,16 +216,6 @@ pub fn parse_config(config: Option<&Json>) -> Result<RequestConfig, ProtoError> 
             .ok_or_else(|| ProtoError::new("protocol", "config.reuse must be a boolean"))?;
     }
     out.threads = bounded(obj, "threads", out.threads)?;
-    out.portfolio_threads = bounded(obj, "portfolio_threads", out.portfolio_threads)?;
-    // The two thread knobs multiply (wave workers × intra-block
-    // portfolio), so bound the *product*: otherwise a single request
-    // with both at MAX_KNOB could ask the daemon for ~16M OS threads.
-    if out.threads.saturating_mul(out.portfolio_threads) > MAX_KNOB as usize {
-        return Err(ProtoError::new(
-            "protocol",
-            format!("config.threads × config.portfolio_threads must be ≤ {MAX_KNOB}"),
-        ));
-    }
     out.search.max_passes = bounded(obj, "max_passes", out.search.max_passes)?;
     out.search.restarts = bounded(obj, "restarts", out.search.restarts)?;
     if let Some(ml) = obj.get("multilevel") {
@@ -332,7 +316,7 @@ mod tests {
     fn full_config_round_trip() {
         let j = json::parse(
             r#"{"io":[6,3],"max_ises":8,"reuse":false,"threads":4,
-                "portfolio_threads":2,"max_passes":2,"restarts":1,
+                "max_passes":2,"restarts":1,
                 "weights":{"merit":2.0,"io_penalty":10.0}}"#,
         )
         .unwrap();
@@ -341,7 +325,6 @@ mod tests {
         assert_eq!(cfg.ise.max_ises, 8);
         assert!(!cfg.ise.reuse_matching);
         assert_eq!(cfg.threads, 4);
-        assert_eq!(cfg.portfolio_threads, 2);
         assert_eq!(cfg.search.max_passes, 2);
         assert_eq!(cfg.search.restarts, 1);
         assert_eq!(cfg.search.weights.merit(), 2.0);
@@ -351,9 +334,10 @@ mod tests {
             cfg.search.weights.affinity(),
             GainWeights::default().affinity()
         );
-        // absent portfolio knob defaults to a sequential portfolio
-        let j = json::parse(r#"{"threads":8}"#).unwrap();
-        assert_eq!(parse_config(Some(&j)).unwrap().portfolio_threads, 1);
+        // an unknown member (e.g. an old client's `portfolio_threads`)
+        // is ignored
+        let j = json::parse(r#"{"threads":8,"portfolio_threads":0}"#).unwrap();
+        assert_eq!(parse_config(Some(&j)).unwrap().threads, 8);
     }
 
     #[test]
@@ -412,16 +396,13 @@ mod tests {
             r#"{"io":"wide"}"#,
             r#"{"io":[4,-2]}"#,
             r#"{"max_ises":0}"#,
+            r#"{"threads":0}"#,
+            r#"{"threads":-4}"#,
             r#"{"threads":1e9}"#,
-            r#"{"portfolio_threads":0}"#,
-            r#"{"portfolio_threads":-4}"#,
-            r#"{"portfolio_threads":1e9}"#,
-            r#"{"portfolio_threads":"many"}"#,
-            r#"{"portfolio_threads":4294967296}"#,
-            r#"{"portfolio_threads":3.5}"#,
-            // individually legal, jointly a thread bomb
-            r#"{"threads":4096,"portfolio_threads":4096}"#,
-            r#"{"threads":128,"portfolio_threads":64}"#,
+            r#"{"threads":"many"}"#,
+            r#"{"threads":4097}"#,
+            r#"{"threads":4294967296}"#,
+            r#"{"threads":3.5}"#,
             r#"{"max_passes":2.5}"#,
             r#"{"restarts":99999999}"#,
             r#"{"reuse":"yes"}"#,

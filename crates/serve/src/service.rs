@@ -13,7 +13,7 @@ use crate::cache::{AppEntry, SelectionKey, ServeCache, SubmitError};
 use crate::json::{self, Json};
 use crate::proto::{self, ProtoError, RequestConfig};
 use isegen_analysis::{LintOptions, Severity};
-use isegen_core::{CacheStats, Generator, IseSelection, IsegenFinder};
+use isegen_core::{CacheStats, Generator, IseSelection};
 use isegen_ir::text::TextError;
 use isegen_rtl::{verify_selection, AfuLibrary, VerifyConfig};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -215,14 +215,10 @@ impl Service {
         }
         self.cache.count_selection(false);
         let contexts = entry.contexts();
-        let finder = IsegenFinder::new(config.search.clone())
-            .with_portfolio_threads(config.portfolio_threads);
         let mut gen = Generator::new(config.ise)
-            .finder(finder)
+            .search(config.search.clone())
             .threads(config.threads);
         let selection = gen.run_in_contexts(&contexts);
-        // Worker clones report into the finder's shared accumulator, so
-        // this covers the batched path too.
         if let Ok(mut acc) = self.search_stats.lock() {
             acc.absorb(gen.finder_ref().accumulated_stats());
         }

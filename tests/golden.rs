@@ -2,7 +2,7 @@
 //! pinned in `tests/GOLDEN.json`.
 //!
 //! Every other bit-identity gate in the suite is pairwise (queue ≡ scan
-//! oracle, batched ≡ sequential, portfolio@N ≡ @1), so a change that
+//! oracle, threads=N ≡ threads=1), so a change that
 //! moves both sides of a pair together would pass them silently. This
 //! file pins the outputs themselves, at `IseConfig::paper_default()`:
 //!
@@ -182,8 +182,8 @@ fn registry_selections_match_the_golden_file() {
 }
 
 /// The large and huge tiers. Besides pinning the rows, this holds the
-/// batched driver at 4 threads to the sequential one and the multilevel
-/// selection to the single-level saving.
+/// driver at 4 threads to `threads = 1` and the multilevel selection to
+/// the single-level saving.
 #[test]
 #[ignore = "seconds in release, far longer in debug: run with --release -- --ignored"]
 fn large_and_huge_selections_match_the_golden_file() {
@@ -193,12 +193,12 @@ fn large_and_huge_selections_match_the_golden_file() {
     for spec in &specs {
         let app = spec.application();
         let (single, row) = fingerprint(spec.name, &app, PAPER_IO, None);
-        let batched = Generator::new(ise_config(PAPER_IO))
+        let threaded = Generator::new(ise_config(PAPER_IO))
             .threads(4)
             .run(&app, &model);
         assert!(
-            batched == single,
-            "{}: batched driver diverged from sequential at 4 threads",
+            threaded == single,
+            "{}: the selection at 4 threads diverged from threads = 1",
             spec.name
         );
         rows.push(row);

@@ -1,19 +1,19 @@
 //! The portfolio-parallel [`Search`] must be **byte-identical** to
-//! the sequential search at every thread count — intra-block
-//! parallelism is a wall-clock optimisation, never a result change —
-//! and the thread-budget split of the batched driver must preserve the
-//! sequential driver's output exactly (modelled on
-//! `tests/batched_driver.rs`).
+//! the sequential search at every thread count, and so must the whole
+//! Problem-2 driver, which hands its `threads` budget to every cut
+//! search — parallelism is a wall-clock optimisation, never a result
+//! change.
 
 use isegen::core::{
-    BlockContext, GainWeights, Generator, IoConstraints, IseConfig, IsegenFinder, Search,
-    SearchConfig,
+    BlockContext, GainWeights, Generator, IoConstraints, IseConfig, Search, SearchConfig,
 };
 use isegen::ir::LatencyModel;
 use isegen::workloads::{aes, random_application, RandomWorkloadConfig};
 use proptest::prelude::*;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
+/// The driver-level counts each checked against `threads = 1`.
+const PARALLEL_THREADS: [usize; 3] = [2, 4, 8];
 
 #[test]
 fn portfolio_parity_on_aes() {
@@ -121,40 +121,43 @@ proptest! {
 }
 
 #[test]
-fn batched_driver_with_budget_split_matches_sequential() {
-    // Multi-block application: the batched driver splits its budget
-    // between waves and portfolios; output must not move.
+fn threads_match_threads_1_on_multiblock_apps() {
+    // Random 8-block applications: the budget goes to every search the
+    // driver runs, across blocks and iterations; output must not move.
     let model = LatencyModel::paper_default();
     let search = SearchConfig::default();
-    for seed in [3u64, 77] {
+    for seed in [1u64, 3, 42, 77, 2026] {
         let app = random_application(&RandomWorkloadConfig {
             seed,
-            blocks: 6,
-            ops_per_block: 50,
+            blocks: 8,
+            ops_per_block: 60,
             ..RandomWorkloadConfig::default()
         });
-        let config = IseConfig::paper_default();
-        let sequential = Generator::new(config)
-            .finder(IsegenFinder::new(search.clone()))
-            .run_sequential(&app, &model);
-        for threads in THREAD_COUNTS {
-            let batched = Generator::new(config)
+        for reuse in [false, true] {
+            let config = IseConfig {
+                reuse_matching: reuse,
+                ..IseConfig::paper_default()
+            };
+            let sequential = Generator::new(config)
                 .search(search.clone())
-                .threads(threads)
                 .run(&app, &model);
-            assert_eq!(
-                batched, sequential,
-                "seed {seed}: batched driver diverged at {threads} threads"
-            );
+            for threads in PARALLEL_THREADS {
+                let threaded = Generator::new(config)
+                    .search(search.clone())
+                    .threads(threads)
+                    .run(&app, &model);
+                assert_eq!(
+                    threaded, sequential,
+                    "seed {seed} reuse {reuse}: diverged at {threads} threads"
+                );
+            }
         }
     }
 }
 
 #[test]
 fn single_block_app_gets_portfolio_budget() {
-    // One block, many threads: the whole budget lands on the portfolio
-    // (waves of length 1). Output identical, and the finder with an
-    // explicit portfolio setting agrees too.
+    // AES is one huge block: the whole budget lands on its portfolio.
     let app = aes();
     let model = LatencyModel::paper_default();
     let config = IseConfig::paper_default();
@@ -162,21 +165,14 @@ fn single_block_app_gets_portfolio_budget() {
     let sequential = Generator::new(config)
         .search(search.clone())
         .run(&app, &model);
-    for threads in THREAD_COUNTS {
-        let batched = Generator::new(config)
+    for threads in PARALLEL_THREADS {
+        let threaded = Generator::new(config)
             .search(search.clone())
             .threads(threads)
             .run(&app, &model);
         assert_eq!(
-            batched, sequential,
-            "AES batched diverged at {threads} threads"
-        );
-        let portfolio = Generator::new(config)
-            .finder(IsegenFinder::new(search.clone()).with_portfolio_threads(threads))
-            .run(&app, &model);
-        assert_eq!(
-            portfolio, sequential,
-            "AES portfolio finder diverged at {threads} portfolio threads"
+            threaded, sequential,
+            "AES selection diverged at {threads} threads"
         );
     }
 }
@@ -228,18 +224,24 @@ fn arena_pool_reuse_is_counted_and_results_unchanged() {
 }
 
 #[test]
-fn finder_accumulates_stats_across_clones() {
+fn stats_accumulate_at_four_threads() {
     let app = aes();
     let model = LatencyModel::paper_default();
     let config = IseConfig::paper_default();
-    let mut gen = Generator::new(config)
-        .finder(IsegenFinder::new(SearchConfig::default()))
-        .threads(4);
+    let mut sequential = Generator::new(config);
+    sequential.run(&app, &model);
+    let mut gen = Generator::new(config).threads(4);
     let selection = gen.run(&app, &model);
     assert!(!selection.ises.is_empty());
     let stats = gen.finder_ref().accumulated_stats();
+    let want = sequential.finder_ref().accumulated_stats();
     assert!(
         stats.trajectories > 0 && stats.commits > 0,
-        "worker clones must report into the shared accumulator: {stats:?}"
+        "every search must report into the finder: {stats:?}"
+    );
+    assert_eq!(
+        (stats.trajectories, stats.commits, stats.fresh_probes),
+        (want.trajectories, want.commits, want.fresh_probes),
+        "the search work must not depend on the thread count"
     );
 }
