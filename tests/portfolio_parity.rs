@@ -121,36 +121,32 @@ proptest! {
 }
 
 #[test]
-fn threads_match_threads_1_on_multiblock_apps() {
-    // Random 8-block applications: the budget goes to every search the
-    // driver runs, across blocks and iterations; output must not move.
+fn batched_driver_with_budget_split_matches_sequential() {
+    // Multi-block applications: the driver hands its whole budget to
+    // every search it runs, across blocks and iterations; output must
+    // not move. (Named after the former batched driver's budget split.)
     let model = LatencyModel::paper_default();
     let search = SearchConfig::default();
-    for seed in [1u64, 3, 42, 77, 2026] {
+    for seed in [3u64, 77] {
         let app = random_application(&RandomWorkloadConfig {
             seed,
-            blocks: 8,
-            ops_per_block: 60,
+            blocks: 6,
+            ops_per_block: 50,
             ..RandomWorkloadConfig::default()
         });
-        for reuse in [false, true] {
-            let config = IseConfig {
-                reuse_matching: reuse,
-                ..IseConfig::paper_default()
-            };
-            let sequential = Generator::new(config)
+        let config = IseConfig::paper_default();
+        let sequential = Generator::new(config)
+            .search(search.clone())
+            .run(&app, &model);
+        for threads in PARALLEL_THREADS {
+            let threaded = Generator::new(config)
                 .search(search.clone())
+                .threads(threads)
                 .run(&app, &model);
-            for threads in PARALLEL_THREADS {
-                let threaded = Generator::new(config)
-                    .search(search.clone())
-                    .threads(threads)
-                    .run(&app, &model);
-                assert_eq!(
-                    threaded, sequential,
-                    "seed {seed} reuse {reuse}: diverged at {threads} threads"
-                );
-            }
+            assert_eq!(
+                threaded, sequential,
+                "seed {seed}: diverged at {threads} threads"
+            );
         }
     }
 }
