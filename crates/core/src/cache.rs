@@ -3,21 +3,33 @@
 //! into "re-probe only the nodes whose probe inputs actually changed".
 //!
 //! A [`crate::ToggleEngine::probe`] result mixes *local* terms (ΔI/ΔO,
-//! neighbours in the cut, the longest path through the candidate) with
-//! *global* terms (the cut's current operand counts, software latency,
-//! critical path, component table). The cache stores the local terms per
-//! node and recombines them with the engine's current global terms in
-//! O(1); after a committed toggle only the nodes named by
-//! [`crate::ToggleEngine::toggle_and_mark`] — the toggled node's
-//! reachability cones and consumers sharing a producer — are re-probed
-//! for real. Even the convexity term is split along that line: the
-//! cone-local hull conditions are cached while the violator gate and
-//! the cut's own convexity are O(1) reads at recombination time, so no
-//! commit ever flushes the cache. `tests/gain_cache_prop.rs` proves the
-//! recombined probes identical to fresh ones after arbitrary toggle
-//! sequences.
+//! neighbours in the cut, the longest path through the candidate, the
+//! cone-local convexity condition) with *global* terms (the cut's
+//! current operand counts, software latency, critical path, component
+//! table, the violator gate, the cut's own convexity). The cache stores
+//! the local terms per node and recombines them with the engine's
+//! current global terms in O(1), so no commit ever flushes the cache.
+//!
+//! A committed toggle sorts what it may have changed into two classes
+//! (`ToggleEngine::toggle_and_mark`):
+//!
+//! * the **full** class — the toggled node's neighbours, the consumers
+//!   of its producers whose I/O terms crossed a threshold, longest-path
+//!   moves, the cut members in its cones (and, for the rare leaving
+//!   commit, its whole cones). These become dirty and are re-probed for
+//!   real on next access;
+//! * the **hull-only** class — nodes whose only term that can have
+//!   moved is the entering hull bit. Hull growth can only clear it,
+//!   and does so with no probe; hull shrink can only set it, and is
+//!   settled by re-testing that one term — and only for entries whose
+//!   cached witness (the ext node that failed them) has entered the
+//!   cut, since a witness still outside keeps failing them. Either way
+//!   the entry stays clean.
+//!
+//! `tests/gain_cache_prop.rs` proves the recombined probes identical to
+//! fresh ones after arbitrary toggle sequences.
 
-use crate::engine::{Probe, ToggleEngine};
+use crate::engine::{HullMarks, Probe, ToggleEngine};
 use crate::{GainWeights, IoConstraints};
 use isegen_graph::{NodeId, NodeSet};
 
@@ -44,6 +56,11 @@ struct Entry {
     /// Entering only: longest hardware path through the candidate
     /// (`max up(preds∩C) + delay + max down(succs∩C)`).
     through: f64,
+    /// Entering entries that fail the hull test: the ext node that
+    /// failed it ([`ToggleEngine::entering_hull_witness`]), or `None`
+    /// when not known. While the witness stays outside the cut the
+    /// entry still fails, so hull shrink need not re-test it.
+    hull_witness: Option<NodeId>,
 }
 
 impl Entry {
@@ -65,6 +82,7 @@ const CLEAN_SLATE: Entry = Entry {
     neighbors_in_cut: 0,
     local_convex: false,
     through: 0.0,
+    hull_witness: None,
 };
 
 /// Probe-count statistics of a [`GainCache`] (and, summed, of a whole
@@ -91,7 +109,8 @@ pub struct CacheStats {
     /// candidates-per-commit.
     pub queue_pops: u64,
     /// Re-keys after commits: one per unmarked entering candidate in a
-    /// commit's dirty delta.
+    /// commit's `touched` set ([`GainCache::commit_tracked`]) — its
+    /// full-class delta plus the nodes whose cached hull bit flipped.
     pub queue_reinsertions: u64,
     /// Invariant audits executed (zero unless audit mode is on —
     /// `tests/audit_mode.rs` pins this to prove the disabled path does
@@ -148,6 +167,12 @@ impl CacheStats {
 pub struct GainCache {
     entries: Vec<Entry>,
     dirty: NodeSet,
+    /// The clean entering entries whose `local_convex` is set — the
+    /// word-level mirror the hull-only class is settled against.
+    hull_ok: NodeSet,
+    /// Hull-only marks of the latest commit, kept so a commit
+    /// allocates nothing.
+    hull: HullMarks,
     stats: CacheStats,
 }
 
@@ -165,6 +190,8 @@ impl GainCache {
         GainCache {
             entries: vec![CLEAN_SLATE; n],
             dirty: NodeSet::full(n),
+            hull_ok: NodeSet::new(n),
+            hull: HullMarks::default(),
             stats: CacheStats::default(),
         }
     }
@@ -178,16 +205,23 @@ impl GainCache {
         self.entries.resize(n, CLEAN_SLATE);
         self.dirty.reset(n);
         self.dirty.insert_all();
+        self.hull_ok.reset(n);
         self.stats = CacheStats::default();
     }
 
-    /// Commits a toggle through the engine and invalidates exactly the
-    /// cached probes the commit may have changed (the toggled node's
-    /// cones and shared-producer consumers — never the whole cache).
-    /// This commit's dirty delta is left in `touched` (reset to the
-    /// cache's capacity first): the selection queue re-keys exactly
-    /// those nodes, and the cache's own accumulated dirty set
-    /// absorbs it. Returns `true` when the node entered the cut.
+    /// Commits a toggle through the engine and brings the cache up to
+    /// date with it, never flushing the whole cache: the full class of
+    /// the commit becomes dirty (re-probed on next access), and the
+    /// hull-only class is settled in place — hull growth clears the
+    /// hull bit of the clean entries it reaches with no probe, hull
+    /// shrink re-tests just the hull term of the clean entries whose
+    /// bit was clear and whose witness has entered the cut.
+    ///
+    /// `touched` (reset to the cache's capacity first) receives the
+    /// full-class delta plus the nodes whose cached hull bit actually
+    /// flipped — exactly the nodes whose cached terms may differ, so
+    /// the selection queue re-keys those and no others. Returns `true`
+    /// when the node entered the cut.
     pub fn commit_tracked(
         &mut self,
         engine: &mut ToggleEngine<'_, '_>,
@@ -195,9 +229,47 @@ impl GainCache {
         touched: &mut NodeSet,
     ) -> bool {
         self.stats.commits += 1;
-        touched.reset(self.entries.len());
-        engine.toggle_and_mark(v, touched);
+        let n = self.entries.len();
+        touched.reset(n);
+        self.hull.reset(n);
+        engine.toggle_and_mark(v, touched, &mut self.hull);
         self.dirty.union_with(touched);
+        self.hull_ok.subtract(touched);
+
+        // Hull growth: `hull_ok` holds only clean entering entries, so
+        // its overlap with the growth cones is exactly the set of bits
+        // that flip to false.
+        let (entries, hull_ok) = (&mut self.entries, &mut self.hull_ok);
+        self.hull.lost.for_each_word(|wi, w| {
+            let flips = w & hull_ok.word(wi);
+            for_each_bit(wi, flips, |u| {
+                entries[u].local_convex = false;
+                hull_ok.remove(NodeId::from_index(u));
+            });
+            touched.union_word(wi, flips);
+        });
+
+        // Hull shrink: clean entering entries (outside the cut) whose
+        // bit is clear may have regained it — unless their witness is
+        // still outside the cut, and so still fails them.
+        let (cut, dirty) = (engine.cut(), &self.dirty);
+        self.hull.regained.for_each_word(|wi, w| {
+            let candidates = w & !hull_ok.word(wi) & !dirty.word(wi) & !cut.word(wi);
+            let mut flips = 0u64;
+            for_each_bit(wi, candidates, |u| {
+                let e = &mut entries[u];
+                if e.hull_witness.is_some_and(|w| !cut.contains(w)) {
+                    return;
+                }
+                e.hull_witness = engine.entering_hull_witness(NodeId::from_index(u));
+                if e.hull_witness.is_none() {
+                    e.local_convex = true;
+                    flips |= 1 << (u % 64);
+                }
+            });
+            hull_ok.union_word(wi, flips);
+            touched.union_word(wi, flips);
+        });
         engine.cut().contains(v)
     }
 
@@ -206,29 +278,16 @@ impl GainCache {
     /// re-cached) when dirty. Always equal to `engine.probe(v)`.
     pub fn probe(&mut self, engine: &ToggleEngine<'_, '_>, v: NodeId) -> Probe {
         let vi = v.index();
-        if self.dirty.contains(v) {
-            let probe = engine.probe(v);
-            self.entries[vi] = Entry {
-                entering: probe.entering,
-                di: probe.inputs as i32 - engine.input_count() as i32,
-                dout: probe.outputs as i32 - engine.output_count() as i32,
-                neighbors_in_cut: probe.neighbors_in_cut,
-                local_convex: if probe.entering {
-                    engine.entering_hull_ok(v)
-                } else {
-                    engine.leaving_local_ok(v)
-                },
-                through: if probe.entering {
-                    engine.entering_through(v)
-                } else {
-                    0.0
-                },
-            };
-            self.dirty.remove(v);
+        if self.dirty.remove(v) {
+            let e = fresh_entry(engine, v);
+            self.entries[vi] = e;
+            if e.entering && e.local_convex {
+                self.hull_ok.insert(v);
+            }
             self.stats.fresh_probes += 1;
-            return probe;
+        } else {
+            self.stats.cached_probes += 1;
         }
-        self.stats.cached_probes += 1;
         let e = self.entries[vi];
         let ctx = engine.ctx();
         let inputs = engine.input_count() as i32 + e.di;
@@ -324,47 +383,52 @@ impl GainCache {
             if self.dirty.contains(v) {
                 continue;
             }
-            let probe = engine.probe(v);
-            let di = probe.inputs as i32 - engine.input_count() as i32;
-            let dout = probe.outputs as i32 - engine.output_count() as i32;
-            let local_convex = if probe.entering {
-                engine.entering_hull_ok(v)
-            } else {
-                engine.leaving_local_ok(v)
-            };
-            let through = if probe.entering {
-                engine.entering_through(v)
-            } else {
-                0.0
-            };
-            if e.entering != probe.entering {
+            let fresh = fresh_entry(engine, v);
+            if e.entering != fresh.entering {
                 out.push(format!(
                     "cache n{vi}: entering {} != fresh {}",
-                    e.entering, probe.entering
+                    e.entering, fresh.entering
                 ));
             }
-            if e.di != di {
-                out.push(format!("cache n{vi}: di {} != fresh {di}", e.di));
+            if e.di != fresh.di {
+                out.push(format!("cache n{vi}: di {} != fresh {}", e.di, fresh.di));
             }
-            if e.dout != dout {
-                out.push(format!("cache n{vi}: dout {} != fresh {dout}", e.dout));
+            if e.dout != fresh.dout {
+                out.push(format!(
+                    "cache n{vi}: dout {} != fresh {}",
+                    e.dout, fresh.dout
+                ));
             }
-            if e.neighbors_in_cut != probe.neighbors_in_cut {
+            if e.neighbors_in_cut != fresh.neighbors_in_cut {
                 out.push(format!(
                     "cache n{vi}: neighbors_in_cut {} != fresh {}",
-                    e.neighbors_in_cut, probe.neighbors_in_cut
+                    e.neighbors_in_cut, fresh.neighbors_in_cut
                 ));
             }
-            if e.local_convex != local_convex {
+            if e.local_convex != fresh.local_convex {
                 out.push(format!(
-                    "cache n{vi}: local_convex {} != fresh {local_convex}",
-                    e.local_convex
+                    "cache n{vi}: local_convex {} != fresh {}",
+                    e.local_convex, fresh.local_convex
                 ));
             }
-            if (e.through - through).abs() > 1e-9 {
+            if (e.through - fresh.through).abs() > 1e-9 {
                 out.push(format!(
-                    "cache n{vi}: through {} != fresh {through}",
-                    e.through
+                    "cache n{vi}: through {} != fresh {}",
+                    e.through, fresh.through
+                ));
+            }
+            if let Some(w) = e.hull_witness {
+                if !engine.cut().contains(w) && !engine.hull_witness_holds(v, w) {
+                    out.push(format!(
+                        "cache n{vi}: hull witness n{} outside the cut no longer fails it",
+                        w.index()
+                    ));
+                }
+            }
+            if self.hull_ok.contains(v) != (e.entering && e.local_convex) {
+                out.push(format!(
+                    "cache n{vi}: hull_ok bit {} disagrees with its entry",
+                    self.hull_ok.contains(v)
                 ));
             }
         }
@@ -390,11 +454,50 @@ impl GainCache {
     }
 }
 
+/// The local probe terms of `v` against the engine's current cut,
+/// each cone term evaluated exactly once.
+fn fresh_entry(engine: &ToggleEngine<'_, '_>, v: NodeId) -> Entry {
+    let entering = !engine.cut().contains(v);
+    let (inputs, outputs) = engine.io_after(v, entering);
+    let hull_witness = if entering {
+        engine.entering_hull_witness(v)
+    } else {
+        None
+    };
+    Entry {
+        entering,
+        di: inputs as i32 - engine.input_count() as i32,
+        dout: outputs as i32 - engine.output_count() as i32,
+        neighbors_in_cut: engine.distinct_neighbors_in_cut(v),
+        local_convex: if entering {
+            hull_witness.is_none()
+        } else {
+            engine.leaving_local_ok(v)
+        },
+        through: if entering {
+            engine.entering_through(v)
+        } else {
+            0.0
+        },
+        hull_witness,
+    }
+}
+
+/// Calls `f` with the node index of every set bit of `bits`, the
+/// `wi`-th word of a node set, in ascending order.
+fn for_each_bit(wi: usize, mut bits: u64, mut f: impl FnMut(usize)) {
+    while bits != 0 {
+        f(wi * 64 + bits.trailing_zeros() as usize);
+        bits &= bits - 1;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::tests::{local_terms, shrink_block, wide_block};
     use crate::BlockContext;
-    use isegen_ir::{BlockBuilder, LatencyModel, Opcode};
+    use isegen_ir::{BasicBlock, BlockBuilder, LatencyModel, Opcode};
 
     #[test]
     fn cached_probes_match_fresh_on_dotprod() {
@@ -427,6 +530,70 @@ mod tests {
         let stats = cache.stats();
         assert!(stats.cached_probes > 0, "cache never hit: {stats:?}");
         assert_eq!(stats.commits, 5);
+    }
+
+    /// `touched` is exactly the full class of the commit plus the nodes
+    /// whose hull bit flipped — every hull-only mark that reaches the
+    /// selection queue is a real change, and every change reaches it.
+    /// A twin engine replays the toggles through
+    /// `ToggleEngine::toggle_and_mark` to expose the full class.
+    fn check_touched_is_full_plus_hull_flips(block: &BasicBlock, toggles: &[NodeId]) {
+        let model = LatencyModel::paper_default();
+        let ctx = BlockContext::new(block, &model);
+        let n = ctx.node_count();
+        let nodes: Vec<_> = block.dag().node_ids().collect();
+        let mut engine = ToggleEngine::new(&ctx);
+        let mut twin = ToggleEngine::new(&ctx);
+        let mut cache = GainCache::new(n);
+        let mut touched = NodeSet::new(n);
+        let mut full = NodeSet::new(n);
+        let mut hull = HullMarks::default();
+        for &v in toggles {
+            for &u in &nodes {
+                let _ = cache.probe(&engine, u);
+            }
+            let before: Vec<_> = nodes.iter().map(|&u| local_terms(&engine, u).0).collect();
+            cache.commit_tracked(&mut engine, v, &mut touched);
+            full.reset(n);
+            hull.reset(n);
+            twin.toggle_and_mark(v, &mut full, &mut hull);
+            for (&u, hull_before) in nodes.iter().zip(&before) {
+                let flipped = !full.contains(u) && local_terms(&engine, u).0 != *hull_before;
+                assert_eq!(
+                    touched.contains(u),
+                    full.contains(u) || flipped,
+                    "touched disagrees at {u} after toggling {v} (full: {}, hull flip: {flipped})",
+                    full.contains(u)
+                );
+            }
+            assert_eq!(cache.audit_divergences(&engine), Vec::<String>::new());
+            for &u in &nodes {
+                assert_eq!(cache.probe(&engine, u), engine.probe(u), "probe of {u}");
+            }
+        }
+    }
+
+    #[test]
+    fn touched_is_the_full_class_plus_hull_flips() {
+        let mut b = BlockBuilder::new("dot");
+        let (a, b_, c, d) = (b.input("a"), b.input("b"), b.input("c"), b.input("d"));
+        let m1 = b.op(Opcode::Mul, &[a, b_]).unwrap();
+        let m2 = b.op(Opcode::Mul, &[c, d]).unwrap();
+        let add = b.op(Opcode::Add, &[m1, m2]).unwrap();
+        let block = b.build().unwrap();
+        check_touched_is_full_plus_hull_flips(&block, &[m1, add, m2, m1, m2, add]);
+
+        let (block, toggles) = shrink_block();
+        check_touched_is_full_plus_hull_flips(&block, &toggles);
+
+        let block = wide_block();
+        let model = LatencyModel::paper_default();
+        let ops: Vec<NodeId> = BlockContext::new(&block, &model)
+            .eligible()
+            .iter()
+            .collect();
+        let toggles: Vec<NodeId> = (0..80).map(|i| ops[(i * 37 + i / 7) % ops.len()]).collect();
+        check_touched_is_full_plus_hull_flips(&block, &toggles);
     }
 
     #[test]

@@ -116,6 +116,35 @@ pub(crate) struct EngineArena {
     bfs_visited: NodeSet,
 }
 
+/// The hull-only marks of one entering commit
+/// ([`ToggleEngine::toggle_and_mark`]): nodes whose only cone-local
+/// probe term that can have moved is the entering hull bit
+/// ([`ToggleEngine::entering_hull_ok`]), by the one direction each rule
+/// can move it in.
+#[derive(Debug, Default)]
+pub(crate) struct HullMarks {
+    /// Hull growth: every node here that is outside the cut now fails
+    /// `entering_hull_ok` — settled with no probe.
+    pub(crate) lost: NodeSet,
+    /// Hull shrink: nodes whose failing `entering_hull_ok` may have
+    /// turned true — settled by re-testing just that term, and only
+    /// where the cached witness of the failure has entered the cut.
+    pub(crate) regained: NodeSet,
+}
+
+impl HullMarks {
+    /// Empties both sets for a block of `n` nodes.
+    pub(crate) fn reset(&mut self, n: usize) {
+        self.lost.reset(n);
+        self.regained.reset(n);
+    }
+}
+
+/// Number of edges from `p` in the operand list `preds`.
+fn mult(preds: &[NodeId], p: NodeId) -> usize {
+    preds.iter().filter(|&&q| q == p).count()
+}
+
 /// The predicted effect of toggling one node, produced by
 /// [`ToggleEngine::probe`]. Feed it to the gain function.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -443,44 +472,66 @@ impl<'c, 'a> ToggleEngine<'c, 'a> {
         entering
     }
 
-    /// Toggles `v` and accumulates into `dirty` every node whose
-    /// *cone-local* probe terms may differ from before the commit — the
-    /// invalidation set of the K-L gain cache ([`crate::GainCache`]).
+    /// Toggles `v` and accumulates the invalidation marks of the K-L
+    /// gain cache ([`crate::GainCache`]) for this commit, split by which
+    /// cached cone-local probe term can have moved:
+    ///
+    /// * `full` — nodes any of whose terms may differ from before the
+    ///   commit; the cache re-probes them in full;
+    /// * `hull` — nodes whose *only* term that can have moved is the
+    ///   entering hull bit ([`ToggleEngine::entering_hull_ok`]), by the
+    ///   direction it can move in ([`HullMarks`]). The cache settles
+    ///   them without a probe.
     ///
     /// Every *global* probe input — operand counts, latencies, component
     /// tables, the violator gate ([`ToggleEngine::entering_gate`]), the
     /// cut's own convexity and size — is O(1)-readable from the engine
     /// and re-read at recombination time, so no commit ever needs a mass
-    /// invalidation, and the dirty set only has to cover the cached
-    /// cone-local terms. For the dominant **entering** commits it is
+    /// invalidation, and the marks only have to cover the cached
+    /// cone-local terms. For the dominant **entering** commits they are
     /// assembled *exactly* from the state the refresh just touched,
     /// instead of the full `anc(v) ∪ desc(v)` cones (which cover most of
-    /// a deep block like AES):
+    /// a deep block like AES). Into `full`:
     ///
-    /// * adjacency — `{v}`, `v`'s neighbours and consumers sharing a
-    ///   producer with `v` (ΔI/ΔO and `N(v,C)` terms);
-    /// * hull growth — for each node the commit *actually added* to a
-    ///   hull mask (captured word-level during the union), the cone on
-    ///   the side that reads it: the new floor/ceiling member can break
-    ///   `entering_hull_ok` only for its descendants/ancestors;
-    /// * hull shrink — `v` itself left `below_ext`/`above_ext`; that can
-    ///   flip `entering_hull_ok(u)` only where the intersection was
-    ///   exactly `{v}`, which forces every `v → u` path interior into
-    ///   the cut — so `u` is a non-cut descendant/ancestor of `v` with
-    ///   an in-cut neighbour, a superset three word-ops per word wide
-    ///   (`desc(v) ∩ fed_by_cut \ cut`, resp. `anc ∩ feeds_cut \ cut`);
+    /// * adjacency — `{v}` and `v`'s neighbours (ΔI/ΔO and `N(v,C)`
+    ///   terms), plus the consumers `u` of each producer `p` of `v`
+    ///   whose ΔI/ΔO reads `p` across a threshold the commit crossed:
+    ///   `p`'s cut-directed edge count rose by `mult(p,v)`, which for
+    ///   `p ∉ C` flips every consumer's supplier term iff it was 0, and
+    ///   otherwise only a sole in-cut consumer's; for `p ∈ C` (not
+    ///   live-out) it flips a non-cut consumer's output term iff that
+    ///   consumer now holds all of `p`'s escaping edges, and an in-cut
+    ///   one's iff `p` no longer escapes at all;
     /// * longest paths — neighbours of cut nodes whose `up`/`down`
     ///   values actually moved (`entering_through` reads them);
     /// * leave terms — cut members inside `v`'s cones
     ///   (`leaving_local_ok` reads `cut ∩ anc/desc(u)`, which gained
     ///   `v`).
     ///
+    /// Into `hull` — the hull term is monotone within one entering
+    /// commit, so each rule can move it one way only:
+    ///
+    /// * hull growth (`hull.lost`) — for each node the commit *actually
+    ///   added* to a hull mask (captured word-level during the union),
+    ///   the cone on the side that reads it: a new floor/ceiling member
+    ///   `x` outside the cut makes every non-cut descendant/ancestor of
+    ///   `x` fail `entering_hull_ok` outright;
+    /// * hull shrink (`hull.regained`) — `v` itself left
+    ///   `below_ext`/`above_ext`; that can turn `entering_hull_ok(u)`
+    ///   true only where the intersection was exactly `{v}`, which
+    ///   forces every `v → u` path interior into the cut — so `u` is a
+    ///   non-cut descendant/ancestor of `v` with an in-cut neighbour, a
+    ///   superset three word-ops per word wide (`desc(v) ∩ fed_by_cut \
+    ///   cut`, resp. `anc ∩ feeds_cut \ cut`).
+    ///
     /// **Leaving** commits are rare in a K-L pass (each node toggles
     /// once, and cuts are small relative to the block), so they keep the
-    /// conservative cone cover. `tests/gain_cache_prop.rs` and the
-    /// exhaustive sweep below hold all of this to account: a node left
-    /// clean is a node whose cached terms provably did not change.
-    pub fn toggle_and_mark(&mut self, v: NodeId, dirty: &mut NodeSet) {
+    /// conservative cone-and-producer cover, all of it in `full`.
+    /// `tests/gain_cache_prop.rs` and the exhaustive sweeps below hold
+    /// all of this to account: a node outside `full` has unchanged
+    /// non-hull terms, a node outside `full ∪ hull` an unchanged hull
+    /// term.
+    pub(crate) fn toggle_and_mark(&mut self, v: NodeId, full: &mut NodeSet, hull: &mut HullMarks) {
         let was_below_ext = self.below_ext.contains(v);
         let was_above_ext = self.above_ext.contains(v);
         self.track_deltas = true;
@@ -489,23 +540,35 @@ impl<'c, 'a> ToggleEngine<'c, 'a> {
 
         let reach = self.ctx.reach();
         let dag = self.ctx.block().dag();
-        // Adjacency: v, its neighbours, and shared-producer consumers.
-        dirty.insert(v);
+        // Adjacency: v and its neighbours.
+        full.insert(v);
         for &s in dag.succs(v) {
-            dirty.insert(s);
+            full.insert(s);
         }
-        for &p in dag.preds(v) {
-            dirty.insert(p);
-            for &u in dag.succs(p) {
-                dirty.insert(u);
-            }
+        let preds = dag.preds(v);
+        for &p in preds {
+            full.insert(p);
         }
 
         if !entering {
-            // Leaving: cut-local rebuild; the cone cover is exact enough.
-            dirty.union_with(reach.ancestors(v));
-            dirty.union_with(reach.descendants(v));
+            // Leaving: cut-local rebuild; the cone cover plus every
+            // shared-producer consumer is exact enough.
+            for &p in preds {
+                for &u in dag.succs(p) {
+                    full.insert(u);
+                }
+            }
+            full.union_with(reach.ancestors(v));
+            full.union_with(reach.descendants(v));
             return;
+        }
+
+        // Shared producers: consumers of each distinct producer whose
+        // I/O terms read it across a threshold this commit crossed.
+        for (i, &p) in preds.iter().enumerate() {
+            if !preds[..i].contains(&p) {
+                self.mark_shared_producer(p, mult(preds, p), full);
+            }
         }
 
         // Hull growth: descendants of every new `below` bit, ancestors
@@ -518,7 +581,7 @@ impl<'c, 'a> ToggleEngine<'c, 'a> {
                 bits &= bits - 1;
                 let x = NodeId::from_index(wi * 64 + b);
                 if !self.cut.contains(x) {
-                    dirty.union_with(reach.descendants(x));
+                    hull.lost.union_with(reach.descendants(x));
                 }
             }
         }
@@ -529,7 +592,7 @@ impl<'c, 'a> ToggleEngine<'c, 'a> {
                 bits &= bits - 1;
                 let x = NodeId::from_index(wi * 64 + b);
                 if !self.cut.contains(x) {
-                    dirty.union_with(reach.ancestors(x));
+                    hull.lost.union_with(reach.ancestors(x));
                 }
             }
         }
@@ -545,7 +608,7 @@ impl<'c, 'a> ToggleEngine<'c, 'a> {
             reach.descendants(v).for_each_word(|wi, w| {
                 let m = w & fed.word(wi) & !cut.word(wi);
                 if m != 0 {
-                    dirty.union_word(wi, m);
+                    hull.regained.union_word(wi, m);
                 }
             });
         }
@@ -555,7 +618,7 @@ impl<'c, 'a> ToggleEngine<'c, 'a> {
             reach.ancestors(v).for_each_word(|wi, w| {
                 let m = w & feeds.word(wi) & !cut.word(wi);
                 if m != 0 {
-                    dirty.union_word(wi, m);
+                    hull.regained.union_word(wi, m);
                 }
             });
         }
@@ -564,12 +627,12 @@ impl<'c, 'a> ToggleEngine<'c, 'a> {
         // values of u's in-cut neighbours.
         for &w in &self.changed_up {
             for &s in dag.succs(w) {
-                dirty.insert(s);
+                full.insert(s);
             }
         }
         for &w in &self.changed_down {
             for &p in dag.preds(w) {
-                dirty.insert(p);
+                full.insert(p);
             }
         }
 
@@ -580,15 +643,54 @@ impl<'c, 'a> ToggleEngine<'c, 'a> {
             reach.descendants(v).for_each_word(|wi, w| {
                 let m = w & cut.word(wi);
                 if m != 0 {
-                    dirty.union_word(wi, m);
+                    full.union_word(wi, m);
                 }
             });
             reach.ancestors(v).for_each_word(|wi, w| {
                 let m = w & cut.word(wi);
                 if m != 0 {
-                    dirty.union_word(wi, m);
+                    full.union_word(wi, m);
                 }
             });
+        }
+    }
+
+    /// Marks the consumers `u` of producer `p` whose ΔI/ΔO terms read
+    /// `p` differently after an entering commit that added `mult_v`
+    /// edges from `p` into the cut (see [`ToggleEngine::io_after`]):
+    ///
+    /// * `p ∉ C` — an entering `u` counts `p` as a new supplier iff
+    ///   `fanout_to_cut[p] == 0`, which held before and fails now iff
+    ///   the old count `f` was 0; an in-cut `u` drops `p` as a supplier
+    ///   iff `fanout_to_cut[p] == mult(p,u)`, which fails now and held
+    ///   before iff `f == mult(p,u)`.
+    /// * `p ∈ C`, not live-out — with `o` the edges from `p` to non-cut
+    ///   nodes *after* the commit, an entering `u` retires `p` as an
+    ///   output iff `o == mult(p,u)` (before, `o + mult_v` also counted
+    ///   `v`'s edges, so it never held); an in-cut `u` revives it iff
+    ///   `o == 0` (before, `v`'s edges escaped).
+    fn mark_shared_producer(&self, p: NodeId, mult_v: usize, full: &mut NodeSet) {
+        let dag = self.ctx.block().dag();
+        let fanout = self.fanout_to_cut[p.index()] as usize;
+        if !self.cut.contains(p) {
+            let before = fanout - mult_v;
+            for &u in dag.succs(p) {
+                if before == 0 || (self.cut.contains(u) && mult(dag.preds(u), p) == before) {
+                    full.insert(u);
+                }
+            }
+        } else if !self.ctx.block().is_live_out(p) {
+            let outside = dag.out_degree(p) - fanout;
+            for &u in dag.succs(p) {
+                let hit = if self.cut.contains(u) {
+                    outside == 0
+                } else {
+                    mult(dag.preds(u), p) == outside
+                };
+                if hit {
+                    full.insert(u);
+                }
+            }
         }
     }
 
@@ -596,7 +698,7 @@ impl<'c, 'a> ToggleEngine<'c, 'a> {
 
     /// Input/output counts after toggling `v`, derived in O(deg(v)) from
     /// the maintained counters — the ΔI/ΔO addendum scheme of Fig. 3.
-    fn io_after(&self, v: NodeId, entering: bool) -> (u32, u32) {
+    pub(crate) fn io_after(&self, v: NodeId, entering: bool) -> (u32, u32) {
         let dag = self.ctx.block().dag();
         let block = self.ctx.block();
         let vi = v.index();
@@ -628,7 +730,7 @@ impl<'c, 'a> ToggleEngine<'c, 'a> {
             if preds[..i].contains(&p) {
                 continue; // count each distinct producer once
             }
-            let mult = preds.iter().filter(|&&q| q == p).count() as u32;
+            let mult = mult(preds, p) as u32;
             let pi = p.index();
             if self.cut.contains(p) {
                 let outside_p = dag.out_degree(p) as u32 - self.fanout_to_cut[pi];
@@ -718,9 +820,30 @@ impl<'c, 'a> ToggleEngine<'c, 'a> {
     /// `desc(v) ∩ anc(v)` term leaves exactly the two maintained-set
     /// conditions below — no scratch sets are materialised.
     pub(crate) fn entering_hull_ok(&self, v: NodeId) -> bool {
+        self.entering_hull_witness(v).is_none()
+    }
+
+    /// The node that fails [`ToggleEngine::entering_hull_ok`] for `v`:
+    /// the smallest of `anc(v) ∩ below_ext`, else of `desc(v) ∩
+    /// above_ext`; `None` when `v` passes. Within entering commits an
+    /// ext node leaves the masks only by entering the cut, so a witness
+    /// outside the cut still fails `v` — the gain cache re-tests a
+    /// failing entry only once its witness has entered.
+    pub(crate) fn entering_hull_witness(&self, v: NodeId) -> Option<NodeId> {
         let reach = self.ctx.reach();
-        !reach.ancestors(v).intersects(&self.below_ext)
-            && !reach.descendants(v).intersects(&self.above_ext)
+        reach
+            .ancestors(v)
+            .first_common(&self.below_ext)
+            .or_else(|| reach.descendants(v).first_common(&self.above_ext))
+    }
+
+    /// Whether `w` still fails the entering hull test of `v`: it sits in
+    /// `anc(v) ∩ below_ext` or in `desc(v) ∩ above_ext`. Audit mode
+    /// checks the gain cache's witnesses with it.
+    pub(crate) fn hull_witness_holds(&self, v: NodeId, w: NodeId) -> bool {
+        let reach = self.ctx.reach();
+        (reach.ancestors(v).contains(w) && self.below_ext.contains(w))
+            || (reach.descendants(v).contains(w) && self.above_ext.contains(w))
     }
 
     /// The cone-local half of the leaving-convexity test: out of a
@@ -773,7 +896,7 @@ impl<'c, 'a> ToggleEngine<'c, 'a> {
         self.comp_cp_total - self.comp_cp[label as usize]
     }
 
-    fn distinct_neighbors_in_cut(&self, v: NodeId) -> u32 {
+    pub(crate) fn distinct_neighbors_in_cut(&self, v: NodeId) -> u32 {
         let dag = self.ctx.block().dag();
         let preds = dag.preds(v);
         let succs = dag.succs(v);
@@ -1307,7 +1430,7 @@ impl<'c, 'a> ToggleEngine<'c, 'a> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use isegen_ir::{BasicBlock, BlockBuilder, LatencyModel, Opcode};
 
@@ -1521,59 +1644,160 @@ mod tests {
         }
     }
 
+    /// A seeded random block of 96 ops over 4 inputs — 100 nodes, so
+    /// every cone and hull mask spans two words.
+    pub(crate) fn wide_block() -> BasicBlock {
+        let mut b = BlockBuilder::new("wide");
+        let mut values: Vec<NodeId> = ["a", "b", "c", "d"].map(|n| b.input(n)).to_vec();
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        for i in 0..96 {
+            // Mostly recent operands (deep cones), sometimes far ones
+            // (cross-word edges), sometimes a repeated operand.
+            let near = |r: usize, len: usize| len - 1 - r % len.min(8);
+            let x = values[near(next(64), values.len())];
+            let y = if next(5) == 0 {
+                x
+            } else {
+                values[next(values.len())]
+            };
+            let op = [Opcode::Add, Opcode::Mul, Opcode::Xor, Opcode::Sub][i % 4];
+            values.push(b.op(op, &[x, y]).unwrap());
+        }
+        b.build().unwrap()
+    }
+
+    /// A block where only the hull-shrink rule reaches a node: with
+    /// `{a, b1, b2, b3, x}` in the cut, `v` is the sole hull-floor node
+    /// above `u`, so `v` entering turns `entering_hull_ok(u)` true — and
+    /// since the chain `b1 → b2 → b3` keeps `up[x]` where it was, no
+    /// other rule marks `u`. Returns the block and the toggle order.
+    pub(crate) fn shrink_block() -> (BasicBlock, Vec<NodeId>) {
+        let mut b = BlockBuilder::new("shrink");
+        let i = b.input("i");
+        let a = b.op(Opcode::Add, &[i, i]).unwrap();
+        let b1 = b.op(Opcode::Add, &[i, i]).unwrap();
+        let b2 = b.op(Opcode::Add, &[b1, b1]).unwrap();
+        let b3 = b.op(Opcode::Add, &[b2, b2]).unwrap();
+        let v = b.op(Opcode::Add, &[a, a]).unwrap();
+        let x = b.op(Opcode::Add, &[v, b3]).unwrap();
+        b.op(Opcode::Add, &[x, x]).unwrap();
+        (b.build().unwrap(), vec![a, b1, b2, b3, x, v])
+    }
+
+    /// Every cached term but the entering hull bit: entering, ΔI, ΔO,
+    /// `N(u,C)`, the leaving-convexity bit and the through-path.
+    type NonHull = (bool, i32, i32, u32, Option<bool>, f64);
+
     /// The cone-local probe terms of node `u` — exactly what a
-    /// [`crate::GainCache`] entry stores. Global terms (operand counts,
-    /// latencies, the violator gate, the cut's convexity/size) are
-    /// re-read fresh at recombination time, so they may move for clean
-    /// nodes; these must not.
-    fn local_terms(engine: &ToggleEngine<'_, '_>, u: NodeId) -> (bool, i32, i32, u32, bool, f64) {
+    /// [`crate::GainCache`] entry stores — split into the hull bit
+    /// (`Some(entering_hull_ok)` for an entering node) and the rest.
+    /// Global terms (operand counts, latencies, the violator gate, the
+    /// cut's convexity/size) are re-read fresh at recombination time,
+    /// so they may move for clean nodes; these must not.
+    pub(crate) fn local_terms(engine: &ToggleEngine<'_, '_>, u: NodeId) -> (Option<bool>, NonHull) {
         let p = engine.probe(u);
         let di = p.inputs as i32 - engine.input_count() as i32;
         let dout = p.outputs as i32 - engine.output_count() as i32;
-        let (local_convex, through) = if p.entering {
-            (engine.entering_hull_ok(u), engine.entering_through(u))
+        let (hull, leave, through) = if p.entering {
+            (
+                Some(engine.entering_hull_ok(u)),
+                None,
+                engine.entering_through(u),
+            )
         } else {
-            (engine.leaving_local_ok(u), 0.0)
+            (None, Some(engine.leaving_local_ok(u)), 0.0)
         };
         (
-            p.entering,
-            di,
-            dout,
-            p.neighbors_in_cut,
-            local_convex,
-            through,
+            hull,
+            (p.entering, di, dout, p.neighbors_in_cut, leave, through),
         )
+    }
+
+    /// Drives `toggles` through `toggle_and_mark` and checks the two
+    /// mark classes after every commit: a node whose non-hull terms
+    /// changed is in `full`; a node whose hull bit was cleared is in
+    /// `full ∪ hull.lost`, one whose bit was set in `full ∪
+    /// hull.regained`; and every non-cut node of `hull.lost` really
+    /// fails `entering_hull_ok`. There is no full-invalidation escape
+    /// hatch, so the marks alone must cover every change.
+    fn check_marks(ctx: &BlockContext<'_>, toggles: &[NodeId]) {
+        let ids: Vec<NodeId> = ctx.block().dag().node_ids().collect();
+        let n = ctx.node_count();
+        let mut engine = ToggleEngine::new(ctx);
+        let mut full = NodeSet::new(n);
+        let mut hull = HullMarks::default();
+        for &v in toggles {
+            let before: Vec<_> = ids.iter().map(|&u| local_terms(&engine, u)).collect();
+            full.reset(n);
+            hull.reset(n);
+            engine.toggle_and_mark(v, &mut full, &mut hull);
+            for (&u, (hull_before, rest_before)) in ids.iter().zip(&before) {
+                let (hull_after, rest_after) = local_terms(&engine, u);
+                if hull.lost.contains(u) && !engine.cut().contains(u) {
+                    assert_eq!(
+                        hull_after,
+                        Some(false),
+                        "hull growth marked hull-ok {u} after {v}"
+                    );
+                }
+                if full.contains(u) {
+                    continue;
+                }
+                assert_eq!(
+                    rest_after, *rest_before,
+                    "non-hull terms changed for {u} outside the full class after toggling {v}"
+                );
+                match (hull_before, hull_after) {
+                    (Some(true), Some(false)) => assert!(
+                        hull.lost.contains(u),
+                        "hull bit of {u} cleared outside full ∪ lost after toggling {v}"
+                    ),
+                    (Some(false), Some(true)) => assert!(
+                        hull.regained.contains(u),
+                        "hull bit of {u} set outside full ∪ regained after toggling {v}"
+                    ),
+                    _ => {}
+                }
+            }
+        }
     }
 
     #[test]
     fn toggle_and_mark_covers_probe_changes() {
-        // Exhaustive check on the dot-product block: after each commit,
-        // every node whose cone-local probe terms changed must be in the
-        // dirty set — there is no full-invalidation escape hatch any
-        // more, so the dirty set alone must cover every change.
+        // Exhaustive on the dot-product block …
         let block = dotprod();
         let model = LatencyModel::paper_default();
         let ctx = BlockContext::new(&block, &model);
         let ids: Vec<NodeId> = block.dag().node_ids().collect();
-        let n = ctx.node_count();
         for seq in &[vec![4, 5, 6, 5], vec![6, 5, 4], vec![4, 6, 4, 6, 5]] {
-            let mut engine = ToggleEngine::new(&ctx);
-            for &i in seq {
-                let before: Vec<_> = ids.iter().map(|&u| local_terms(&engine, u)).collect();
-                let mut dirty = NodeSet::new(n);
-                engine.toggle_and_mark(ids[i], &mut dirty);
-                for (u, old) in ids.iter().zip(&before) {
-                    if dirty.contains(*u) {
-                        continue;
-                    }
-                    assert_eq!(
-                        local_terms(&engine, *u),
-                        *old,
-                        "local terms changed for clean node {u} after toggling {}",
-                        ids[i]
-                    );
-                }
-            }
+            let toggles: Vec<NodeId> = seq.iter().map(|&i| ids[i]).collect();
+            check_marks(&ctx, &toggles);
         }
+        // … on the one configuration only hull shrink reaches …
+        let (block, toggles) = shrink_block();
+        check_marks(&BlockContext::new(&block, &model), &toggles);
+        // … and on a two-word block, where the word-level masks and
+        // cones cross word boundaries: long entering runs (deep hulls,
+        // growth and shrink) broken by leaving commits.
+        let block = wide_block();
+        let ctx = BlockContext::new(&block, &model);
+        let ops: Vec<NodeId> = ctx.eligible().iter().collect();
+        assert!(ctx.node_count() > 64 && ops.len() > 64);
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let toggles: Vec<NodeId> = (0..120)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                ops[(state % ops.len() as u64) as usize]
+            })
+            .collect();
+        check_marks(&ctx, &toggles);
     }
 }

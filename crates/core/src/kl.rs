@@ -139,7 +139,9 @@ pub struct SearchScratch {
     /// that a step allocates nothing.
     frontier_base: Frontier,
     frontier_merit: Frontier,
-    /// Dirty delta of the latest commit ([`GainCache::commit_tracked`]).
+    /// The nodes whose cached terms the latest commit may have changed
+    /// ([`GainCache::commit_tracked`]): its full-class delta plus the
+    /// hull-bit flips.
     touched: NodeSet,
     /// The cut at pass start; unmarked candidates never change side
     /// within a pass, so this splits them into entering vs. leaving.
@@ -653,8 +655,9 @@ where
 /// allocations are the returned [`Cut`] snapshots.
 ///
 /// The sweep is served by a [`GainCache`]: after each committed toggle
-/// only the nodes in the engine's dirty set are re-probed; every other
-/// gain is recombined from cached local terms in O(1). The cached gains
+/// only the commit's full class is re-probed, and its hull-only class
+/// is settled in place; every other gain is recombined from cached
+/// local terms in O(1). The cached gains
 /// are bit-identical to fresh probes (`tests/gain_cache_prop.rs`).
 ///
 /// The per-commit argmax is served by a pair of addressable max-heaps
@@ -885,10 +888,11 @@ fn run_trajectory(
             marked.insert(v);
             heap_base.remove(v.index() as u32);
             heap_merit.remove(v.index() as u32);
-            // Targeted re-key: exactly the commit's dirty delta is
-            // refreshed and sifted in place; every clean slot's key is
-            // still current because keys fold no global state.
-            // Word-level pre-mask: the dirty set is dominated by
+            // Targeted re-key: exactly the nodes the commit touched are
+            // refreshed and sifted in place; every other slot's key is
+            // still current because keys fold no global state (a
+            // hull-bit flip moves only merit-heap membership).
+            // Word-level pre-mask: the touched set is dominated by
             // already-committed cut members (leave-term coverage),
             // which the re-key must skip — filter them out 64 at a
             // time instead of testing three sets per bit.

@@ -317,6 +317,34 @@ impl NodeSet {
         !self.is_disjoint(other)
     }
 
+    /// The smallest node in both sets, if any: [`NodeSet::intersects`]
+    /// that also names a witness of the overlap, with the same
+    /// chunked early exit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the capacities differ.
+    pub fn first_common(&self, other: &NodeSet) -> Option<NodeId> {
+        self.check_same(other);
+        let mut ac = self.words.chunks_exact(LANES);
+        let mut bc = other.words.chunks_exact(LANES);
+        let mut base = 0usize;
+        for (aw, bw) in ac.by_ref().zip(bc.by_ref()) {
+            let mut hit = 0u64;
+            for l in 0..LANES {
+                hit |= aw[l] & bw[l];
+            }
+            if hit != 0 {
+                break;
+            }
+            base += LANES;
+        }
+        (base..self.words.len()).find_map(|wi| {
+            let w = self.words[wi] & other.words[wi];
+            (w != 0).then(|| NodeId::from_index(wi * WORD_BITS + w.trailing_zeros() as usize))
+        })
+    }
+
     /// Returns `true` when every node of `self` is also in `other`.
     ///
     /// # Panics
@@ -591,6 +619,22 @@ mod tests {
         assert!(!a.is_disjoint(&b));
         assert!(i.is_subset(&a));
         assert!(!a.is_subset(&b));
+    }
+
+    #[test]
+    fn first_common_names_the_smallest_shared_node() {
+        // Shared bits past the first chunk of four words, and in the
+        // tail words after the last whole chunk.
+        let a = NodeSet::from_ids(330, [id(5), id(300), id(320)]);
+        let b = NodeSet::from_ids(330, [id(6), id(300), id(320)]);
+        assert_eq!(a.first_common(&b), Some(id(300)));
+        let c = NodeSet::from_ids(330, [id(320)]);
+        assert_eq!(a.first_common(&c), Some(id(320)));
+        let d = NodeSet::from_ids(330, [id(4), id(70)]);
+        assert_eq!(a.first_common(&d), None);
+        let e = NodeSet::from_ids(330, [id(5), id(70)]);
+        assert_eq!(a.first_common(&e), Some(id(5)));
+        assert_eq!(NodeSet::new(0).first_common(&NodeSet::new(0)), None);
     }
 
     #[test]

@@ -46,7 +46,9 @@
 //! member optional). Defaults are the paper's headline configuration.
 //! `threads` is the thread budget of every cut search: the K-L
 //! trajectory portfolio fans out over it, with the selection
-//! byte-identical at every count. `multilevel` enables the
+//! byte-identical at every count. It is bounded by [`MAX_THREADS`], not
+//! [`MAX_KNOB`], because every search of the request starts that many
+//! OS threads. `multilevel` enables the
 //! coarsen→K-L→uncoarsen pipeline on blocks whose free-node count
 //! exceeds `min_coarse_ops`; smaller blocks run the single-level search
 //! unchanged. Unknown members are ignored.
@@ -55,10 +57,17 @@ use crate::json::Json;
 use isegen_core::{GainWeights, IoConstraints, IseConfig, MultilevelConfig, SearchConfig};
 use std::fmt;
 
-/// Upper bound on `max_ises`, `max_passes`, `restarts` and `threads` in
-/// a request — generous for real use, small enough that one hostile
-/// request cannot pin a worker thread forever.
+/// Upper bound on `max_ises`, `max_passes`, `restarts`, the `multilevel`
+/// members, `io` components and `vectors` in a request — generous for
+/// real use, small enough that one hostile request cannot pin a worker
+/// thread forever.
 pub const MAX_KNOB: u64 = 4096;
+
+/// Upper bound on `threads` in a request. Each cut search of a `select`
+/// starts up to this many scoped OS threads (fewer when the search has
+/// fewer trajectories), so the bound is on threads per search, not on
+/// work.
+pub const MAX_THREADS: u64 = 64;
 
 /// A structured protocol failure, rendered as an error response.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -144,27 +153,22 @@ impl Default for RequestConfig {
     }
 }
 
-fn bounded(obj: &Json, key: &'static str, default: usize) -> Result<usize, ProtoError> {
+/// `obj[key]` as an integer in `1..=max`, `default` when absent; `path`
+/// names the enclosing object in the error.
+fn bounded(
+    obj: &Json,
+    path: &str,
+    key: &'static str,
+    default: usize,
+    max: u64,
+) -> Result<usize, ProtoError> {
     match obj.get(key) {
         None => Ok(default),
         Some(v) => match v.as_u64() {
-            Some(n) if (1..=MAX_KNOB).contains(&n) => Ok(n as usize),
+            Some(n) if (1..=max).contains(&n) => Ok(n as usize),
             _ => Err(ProtoError::new(
                 "protocol",
-                format!("config.{key} must be an integer in 1..={MAX_KNOB}"),
-            )),
-        },
-    }
-}
-
-fn bounded_ml(obj: &Json, key: &'static str, default: usize) -> Result<usize, ProtoError> {
-    match obj.get(key) {
-        None => Ok(default),
-        Some(v) => match v.as_u64() {
-            Some(n) if (1..=MAX_KNOB).contains(&n) => Ok(n as usize),
-            _ => Err(ProtoError::new(
-                "protocol",
-                format!("config.multilevel.{key} must be an integer in 1..={MAX_KNOB}"),
+                format!("{path}.{key} must be an integer in 1..={max}"),
             )),
         },
     }
@@ -209,15 +213,15 @@ pub fn parse_config(config: Option<&Json>) -> Result<RequestConfig, ProtoError> 
         }
         out.ise.io = IoConstraints::new(i as u32, o as u32);
     }
-    out.ise.max_ises = bounded(obj, "max_ises", out.ise.max_ises)?;
+    out.ise.max_ises = bounded(obj, "config", "max_ises", out.ise.max_ises, MAX_KNOB)?;
     if let Some(reuse) = obj.get("reuse") {
         out.ise.reuse_matching = reuse
             .as_bool()
             .ok_or_else(|| ProtoError::new("protocol", "config.reuse must be a boolean"))?;
     }
-    out.threads = bounded(obj, "threads", out.threads)?;
-    out.search.max_passes = bounded(obj, "max_passes", out.search.max_passes)?;
-    out.search.restarts = bounded(obj, "restarts", out.search.restarts)?;
+    out.threads = bounded(obj, "config", "threads", out.threads, MAX_THREADS)?;
+    out.search.max_passes = bounded(obj, "config", "max_passes", out.search.max_passes, MAX_KNOB)?;
+    out.search.restarts = bounded(obj, "config", "restarts", out.search.restarts, MAX_KNOB)?;
     if let Some(ml) = obj.get("multilevel") {
         if !matches!(ml, Json::Obj(_)) {
             return Err(ProtoError::new(
@@ -228,9 +232,27 @@ pub fn parse_config(config: Option<&Json>) -> Result<RequestConfig, ProtoError> 
         let d = MultilevelConfig::default();
         out.search = out.search.with_multilevel(
             MultilevelConfig::new()
-                .with_min_coarse_ops(bounded_ml(ml, "min_coarse_ops", d.min_coarse_ops)?)
-                .with_max_levels(bounded_ml(ml, "max_levels", d.max_levels)?)
-                .with_boundary_band(bounded_ml(ml, "boundary_band", d.boundary_band)?),
+                .with_min_coarse_ops(bounded(
+                    ml,
+                    "config.multilevel",
+                    "min_coarse_ops",
+                    d.min_coarse_ops,
+                    MAX_KNOB,
+                )?)
+                .with_max_levels(bounded(
+                    ml,
+                    "config.multilevel",
+                    "max_levels",
+                    d.max_levels,
+                    MAX_KNOB,
+                )?)
+                .with_boundary_band(bounded(
+                    ml,
+                    "config.multilevel",
+                    "boundary_band",
+                    d.boundary_band,
+                    MAX_KNOB,
+                )?),
         );
     }
     if let Some(w) = obj.get("weights") {
@@ -386,6 +408,20 @@ mod tests {
     }
 
     #[test]
+    fn threads_have_their_own_small_bound() {
+        // Parse-only: no search runs, so no thread is started.
+        let j = json::parse(r#"{"threads":64}"#).unwrap();
+        assert_eq!(parse_config(Some(&j)).unwrap().threads, 64);
+        let j = json::parse(r#"{"threads":65}"#).unwrap();
+        let err = parse_config(Some(&j)).unwrap_err();
+        assert_eq!(err.kind, "protocol");
+        assert_eq!(err.message, "config.threads must be an integer in 1..=64");
+        // The other knobs keep the wide bound.
+        let j = json::parse(r#"{"restarts":4096,"max_passes":4096}"#).unwrap();
+        assert_eq!(parse_config(Some(&j)).unwrap().search.restarts, 4096);
+    }
+
+    #[test]
     fn hostile_configs_are_structured_errors() {
         // Each of these would panic or spin somewhere in the library if
         // passed through unchecked (IoConstraints::new asserts non-zero;
@@ -400,6 +436,7 @@ mod tests {
             r#"{"threads":-4}"#,
             r#"{"threads":1e9}"#,
             r#"{"threads":"many"}"#,
+            r#"{"threads":65}"#,
             r#"{"threads":4097}"#,
             r#"{"threads":4294967296}"#,
             r#"{"threads":3.5}"#,
