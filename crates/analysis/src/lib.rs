@@ -19,8 +19,7 @@
 //! never exhibit half of the defects below, but future front-ends (and
 //! the firing tests in `tests/analysis_lint.rs`) can, so the passes are
 //! written against the hostile representation and [`analyze`] merely
-//! projects a well-formed [`Application`](isegen_ir::Application) into
-//! it.
+//! projects a well-formed [`Application`] into it.
 //!
 //! Every pass is bounds-checked end to end: [`analyze`] and
 //! [`analyze_view`] never panic, whatever the input.

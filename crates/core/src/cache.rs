@@ -112,6 +112,11 @@ pub struct CacheStats {
     /// commit's `touched` set ([`GainCache::commit_tracked`]) — its
     /// full-class delta plus the nodes whose cached hull bit flipped.
     pub queue_reinsertions: u64,
+    /// Hull-only re-tests after commits: one per hull-witness search in
+    /// [`GainCache::commit_tracked`]'s hull-shrink loop — the clean
+    /// entries whose cached witness entered the cut. They are neither
+    /// fresh nor cached probes.
+    pub hull_retests: u64,
     /// Invariant audits executed (zero unless audit mode is on —
     /// `tests/audit_mode.rs` pins this to prove the disabled path does
     /// no audit work).
@@ -156,6 +161,7 @@ impl CacheStats {
         self.arena_allocs += other.arena_allocs;
         self.queue_pops += other.queue_pops;
         self.queue_reinsertions += other.queue_reinsertions;
+        self.hull_retests += other.hull_retests;
         self.audit_checks += other.audit_checks;
     }
 }
@@ -253,6 +259,7 @@ impl GainCache {
         // bit is clear may have regained it — unless their witness is
         // still outside the cut, and so still fails them.
         let (cut, dirty) = (engine.cut(), &self.dirty);
+        let retests = &mut self.stats.hull_retests;
         self.hull.regained.for_each_word(|wi, w| {
             let candidates = w & !hull_ok.word(wi) & !dirty.word(wi) & !cut.word(wi);
             let mut flips = 0u64;
@@ -261,6 +268,7 @@ impl GainCache {
                 if e.hull_witness.is_some_and(|w| !cut.contains(w)) {
                     return;
                 }
+                *retests += 1;
                 e.hull_witness = engine.entering_hull_witness(NodeId::from_index(u));
                 if e.hull_witness.is_none() {
                     e.local_convex = true;
@@ -537,7 +545,8 @@ mod tests {
     /// selection queue is a real change, and every change reaches it.
     /// A twin engine replays the toggles through
     /// `ToggleEngine::toggle_and_mark` to expose the full class.
-    fn check_touched_is_full_plus_hull_flips(block: &BasicBlock, toggles: &[NodeId]) {
+    /// Returns the cache's `hull_retests` count over the toggles.
+    fn check_touched_is_full_plus_hull_flips(block: &BasicBlock, toggles: &[NodeId]) -> u64 {
         let model = LatencyModel::paper_default();
         let ctx = BlockContext::new(block, &model);
         let n = ctx.node_count();
@@ -571,6 +580,7 @@ mod tests {
                 assert_eq!(cache.probe(&engine, u), engine.probe(u), "probe of {u}");
             }
         }
+        cache.stats().hull_retests
     }
 
     #[test]
@@ -584,7 +594,10 @@ mod tests {
         check_touched_is_full_plus_hull_flips(&block, &[m1, add, m2, m1, m2, add]);
 
         let (block, toggles) = shrink_block();
-        check_touched_is_full_plus_hull_flips(&block, &toggles);
+        assert!(
+            check_touched_is_full_plus_hull_flips(&block, &toggles) > 0,
+            "only a witness re-test can regain the shrink block's hull bit"
+        );
 
         let block = wide_block();
         let model = LatencyModel::paper_default();
@@ -607,6 +620,7 @@ mod tests {
             arena_allocs: 1,
             queue_pops: 4,
             queue_reinsertions: 2,
+            hull_retests: 7,
             audit_checks: 1,
         };
         let b = CacheStats {
@@ -618,6 +632,7 @@ mod tests {
             arena_allocs: 0,
             queue_pops: 6,
             queue_reinsertions: 3,
+            hull_retests: 5,
             audit_checks: 1,
         };
         a.absorb(b);
@@ -629,6 +644,7 @@ mod tests {
         assert_eq!(a.arena_allocs, 1);
         assert_eq!(a.queue_pops, 10);
         assert_eq!(a.queue_reinsertions, 5);
+        assert_eq!(a.hull_retests, 12);
         assert_eq!(a.audit_checks, 2);
         assert!((a.avoided_fraction() - 0.5).abs() < 1e-12);
         assert_eq!(CacheStats::default().avoided_fraction(), 0.0);

@@ -47,75 +47,46 @@ use isegen_ir::{BasicBlock, Operation};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Knobs of the multilevel coarsen→search→uncoarsen pipeline
+/// Maximum number of coarse levels stacked above the original block.
+/// Each round of matching removes up to half the nodes, so 8 levels
+/// cover blocks ~256× beyond the coarsening target.
+const MAX_LEVELS: usize = 8;
+
+/// Refinement free-set radius: when a cut is projected down a level,
+/// K-L may toggle only nodes within this many undirected hops of the
+/// projected cut.
+const BOUNDARY_BAND: usize = 8;
+
+/// The multilevel coarsen→search→uncoarsen pipeline's one knob
 /// ([`SearchConfig::with_multilevel`]).
 ///
 /// The struct is `#[non_exhaustive]`: construct it with
-/// [`MultilevelConfig::default`] (or [`MultilevelConfig::new`]) and the
-/// `with_*` setters.
+/// [`MultilevelConfig::default`] and
+/// [`MultilevelConfig::with_min_coarse_ops`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct MultilevelConfig {
     /// Size gate and coarsening target: a block whose *free* node count
     /// is at or below this runs the plain single-level search bit for
     /// bit, and coarsening stops once a level shrinks to at most this
-    /// many free nodes. Values below 8 are clamped up internally.
+    /// many free nodes. `0` runs the V-cycle on every non-empty block.
     pub min_coarse_ops: usize,
-    /// Maximum number of coarse levels stacked above the original
-    /// block (clamped to `1..=32` internally). Each round of matching
-    /// removes up to half the nodes, so 8 levels cover blocks ~256×
-    /// beyond the coarsening target.
-    pub max_levels: usize,
-    /// Refinement free-set radius: when a cut is projected down a
-    /// level, K-L may toggle only nodes within this many undirected
-    /// hops of the projected cut (clamped to ≥ 1). Wider bands refine
-    /// more aggressively at more cost.
-    pub boundary_band: usize,
 }
 
 impl Default for MultilevelConfig {
     fn default() -> Self {
         MultilevelConfig {
             min_coarse_ops: 512,
-            max_levels: 8,
-            boundary_band: 8,
         }
     }
 }
 
 impl MultilevelConfig {
-    /// Alias of [`MultilevelConfig::default`], reading better at the
-    /// head of a builder chain.
-    pub fn new() -> Self {
-        MultilevelConfig::default()
-    }
-
     /// Sets the size gate / coarsening target (see
     /// [`MultilevelConfig::min_coarse_ops`]).
     pub fn with_min_coarse_ops(mut self, min_coarse_ops: usize) -> Self {
         self.min_coarse_ops = min_coarse_ops;
         self
-    }
-
-    /// Sets the maximum number of coarse levels.
-    pub fn with_max_levels(mut self, max_levels: usize) -> Self {
-        self.max_levels = max_levels;
-        self
-    }
-
-    /// Sets the refinement boundary-band radius.
-    pub fn with_boundary_band(mut self, boundary_band: usize) -> Self {
-        self.boundary_band = boundary_band;
-        self
-    }
-
-    /// Clamps every knob into its sane operating range.
-    pub(crate) fn normalized(&self) -> MultilevelConfig {
-        MultilevelConfig {
-            min_coarse_ops: self.min_coarse_ops.max(8),
-            max_levels: self.max_levels.clamp(1, 32),
-            boundary_band: self.boundary_band.max(1),
-        }
     }
 }
 
@@ -368,7 +339,7 @@ fn coarsen_step(
 }
 
 /// Builds the coarsening hierarchy bottom-up until the free set fits
-/// the coarsening target, the level cap is hit, or matching stalls.
+/// the coarsening target, [`MAX_LEVELS`] is hit, or matching stalls.
 fn build_hierarchy(ctx: &BlockContext<'_>, free: &NodeSet, ml: &MultilevelConfig) -> Vec<Level> {
     let n0 = ctx.node_count();
     let sw0: Vec<u32> = (0..n0)
@@ -378,7 +349,7 @@ fn build_hierarchy(ctx: &BlockContext<'_>, free: &NodeSet, ml: &MultilevelConfig
         .map(|i| ctx.hw_delay(NodeId::from_index(i)))
         .collect();
     let mut levels: Vec<Level> = Vec::new();
-    while levels.len() < ml.max_levels {
+    while levels.len() < MAX_LEVELS {
         let next = {
             let (block, cfree, sw, hw, reach) = match levels.last() {
                 None => (
@@ -409,21 +380,21 @@ fn build_hierarchy(ctx: &BlockContext<'_>, free: &NodeSet, ml: &MultilevelConfig
     levels
 }
 
-/// Free nodes within `hops` undirected hops of the seed cut — the
-/// restricted free set of one refinement level. The seed itself is
-/// always included, so K-L can still toggle any seed node back out.
+/// Free nodes within [`BOUNDARY_BAND`] undirected hops of the seed cut
+/// — the restricted free set of one refinement level. The seed itself
+/// is always included, so K-L can still toggle any seed node back out.
 ///
-/// The band is additionally size-capped at `64 × hops` nodes: on a
-/// sparse graph the band grows roughly linearly in `hops` anyway, while
-/// on a dense graph a few hops would otherwise swallow the entire free
-/// set and refinement would cost full-search prices. The BFS is in
-/// node-index order, so the cap truncates deterministically.
-fn boundary_band(dag: &Dag<Operation>, seed: &NodeSet, hops: usize, free: &NodeSet) -> NodeSet {
-    let cap = hops.saturating_mul(64).max(seed.len());
+/// The band is additionally size-capped at `64 × BOUNDARY_BAND` nodes:
+/// on a sparse graph the band grows roughly linearly in the hop count
+/// anyway, while on a dense graph a few hops would otherwise swallow the
+/// entire free set and refinement would cost full-search prices. The
+/// BFS is in node-index order, so the cap truncates deterministically.
+fn boundary_band(dag: &Dag<Operation>, seed: &NodeSet, free: &NodeSet) -> NodeSet {
+    let cap = (BOUNDARY_BAND * 64).max(seed.len());
     let mut band = seed.clone();
     band.intersect_with(free);
     let mut frontier: Vec<NodeId> = band.iter().collect();
-    'grow: for _ in 0..hops {
+    'grow: for _ in 0..BOUNDARY_BAND {
         if frontier.is_empty() {
             break;
         }
@@ -445,7 +416,6 @@ fn boundary_band(dag: &Dag<Operation>, seed: &NodeSet, hops: usize, free: &NodeS
 
 /// The level-independent knobs of one V-cycle's refinement sweep.
 struct RefineKnobs<'a> {
-    ml: &'a MultilevelConfig,
     io: IoConstraints,
     config: &'a SearchConfig,
     threads: usize,
@@ -461,7 +431,7 @@ fn refine_level(
     pool: &mut Vec<SearchScratch>,
 ) -> (Cut, CacheStats, LevelReport) {
     let t = Instant::now();
-    let band = boundary_band(fctx.block().dag(), seed, knobs.ml.boundary_band, ffree);
+    let band = boundary_band(fctx.block().dag(), seed, ffree);
     let (cut, stats) = portfolio_search(
         fctx,
         knobs.io,
@@ -486,9 +456,8 @@ fn refine_level(
 /// The multilevel V-cycle: coarsen, search the coarsest level with the
 /// full portfolio, then project-and-refine back down to the original
 /// block. Falls back to the single-level portfolio when coarsening
-/// stalls or the cycle bottoms out empty. `ml` is already
-/// [normalized](MultilevelConfig::normalized): the caller gates on the
-/// same clamped `min_coarse_ops` the V-cycle coarsens to.
+/// stalls or the cycle bottoms out empty. The caller gates on the same
+/// `min_coarse_ops` the V-cycle coarsens to.
 pub(crate) fn multilevel_search(
     ctx: &BlockContext<'_>,
     io: IoConstraints,
@@ -536,7 +505,6 @@ pub(crate) fn multilevel_search(
 
         // Uncoarsen: project each level's cut one level down and refine.
         let knobs = RefineKnobs {
-            ml,
             io,
             config,
             threads,
@@ -597,10 +565,9 @@ pub fn roundtrip_audit(
     ml: &MultilevelConfig,
     io: IoConstraints,
 ) -> Result<usize, String> {
-    let ml = ml.normalized();
     let free = ctx.eligible().clone();
-    let levels = build_hierarchy(ctx, &free, &ml);
-    let config = SearchConfig::new().with_restarts(1).with_max_passes(2);
+    let levels = build_hierarchy(ctx, &free, ml);
+    let config = SearchConfig::default().with_restarts(1).with_max_passes(2);
     let mut pool = Vec::new();
     for (idx, level) in levels.iter().enumerate() {
         let lctx = BlockContext::with_data(&level.block, Arc::clone(&level.data));
@@ -678,9 +645,9 @@ mod tests {
         let block = chain_block(96);
         let model = LatencyModel::paper_default();
         let ctx = BlockContext::new(&block, &model);
-        let ml = MultilevelConfig::new().with_min_coarse_ops(8);
+        let ml = MultilevelConfig::default().with_min_coarse_ops(8);
         let free = ctx.eligible().clone();
-        let levels = build_hierarchy(&ctx, &free, &ml.normalized());
+        let levels = build_hierarchy(&ctx, &free, &ml);
         assert!(!levels.is_empty(), "a 96-op chain must coarsen");
         let mut prev = free.len();
         for l in &levels {
@@ -698,7 +665,7 @@ mod tests {
         let ctx = BlockContext::new(&block, &model);
         let io = IoConstraints::new(4, 2);
         let config = SearchConfig::default()
-            .with_multilevel(MultilevelConfig::new().with_min_coarse_ops(16));
+            .with_multilevel(MultilevelConfig::default().with_min_coarse_ops(16));
         let outcome = Search::new(config).run(&ctx, io);
         let report = outcome.multilevel.expect("pipeline must have run");
         assert!(!report.levels.is_empty());
@@ -726,21 +693,30 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_gates_on_the_clamped_threshold() {
-        // 6 free ops sit above a raw `min_coarse_ops` of 4 but below the
-        // clamped floor of 8 the V-cycle coarsens to: the plain search runs.
+    fn dispatch_gates_on_the_exact_threshold() {
+        // 6 free ops: `min_coarse_ops` 0 forces a V-cycle, 6 (the free
+        // count itself) runs the plain search bit for bit.
         let block = chain_block(5);
         let model = LatencyModel::paper_default();
         let ctx = BlockContext::new(&block, &model);
         assert_eq!(ctx.eligible().len(), 6);
         let io = IoConstraints::new(4, 2);
+        let with_min = |min| {
+            let ml = MultilevelConfig::default().with_min_coarse_ops(min);
+            Search::new(SearchConfig::default().with_multilevel(ml)).run(&ctx, io)
+        };
+
+        let forced = with_min(0);
+        assert!(forced.multilevel.is_some(), "the pipeline must have run");
+        assert!(!forced.cut.is_empty(), "the chain has profitable cuts");
+        assert!(forced.cut.satisfies_io(io));
+        assert!(ctx.is_convex(forced.cut.nodes()));
+
         let plain = Search::new(SearchConfig::default()).run(&ctx, io);
-        let config =
-            SearchConfig::default().with_multilevel(MultilevelConfig::new().with_min_coarse_ops(4));
-        let ml = Search::new(config).run(&ctx, io);
-        assert_eq!(ml.multilevel, None, "the pipeline must not have run");
-        assert_eq!(plain.cut, ml.cut);
-        assert_eq!(plain.stats, ml.stats);
+        let gated = with_min(6);
+        assert_eq!(gated.multilevel, None, "the pipeline must not have run");
+        assert_eq!(plain.cut, gated.cut);
+        assert_eq!(plain.stats, gated.stats);
     }
 
     #[test]
@@ -757,7 +733,7 @@ mod tests {
             }
         }
         let config = SearchConfig::default()
-            .with_multilevel(MultilevelConfig::new().with_min_coarse_ops(16));
+            .with_multilevel(MultilevelConfig::default().with_min_coarse_ops(16));
         let outcome = Search::new(config).forbidden(&forbidden).run(&ctx, io);
         assert!(outcome.cut.nodes().is_disjoint(&forbidden));
         if !outcome.cut.is_empty() {
@@ -773,7 +749,7 @@ mod tests {
         let ctx = BlockContext::new(&block, &model);
         let io = IoConstraints::new(4, 2);
         let config = SearchConfig::default()
-            .with_multilevel(MultilevelConfig::new().with_min_coarse_ops(16));
+            .with_multilevel(MultilevelConfig::default().with_min_coarse_ops(16));
         let seq = Search::new(config.clone()).run(&ctx, io);
         let par = Search::new(config).threads(4).run(&ctx, io);
         assert_eq!(
@@ -790,7 +766,7 @@ mod tests {
         let io = IoConstraints::new(4, 2);
         let config = SearchConfig::default()
             .with_audit_cadence(4)
-            .with_multilevel(MultilevelConfig::new().with_min_coarse_ops(16));
+            .with_multilevel(MultilevelConfig::default().with_min_coarse_ops(16));
         let outcome = Search::new(config).run(&ctx, io);
         assert!(
             outcome.stats.audit_checks > 0,

@@ -10,13 +10,12 @@ use isegen_graph::{NodeId, NodeSet};
 /// Knobs of the modified Kernighan–Lin search (paper Fig. 2).
 ///
 /// The struct is `#[non_exhaustive]`: construct it with
-/// [`SearchConfig::default`] (or [`SearchConfig::new`]) and the
-/// `with_*` setters, so future knobs (e.g. a multi-level coarsening
-/// pass) never break callers.
+/// [`SearchConfig::default`] and the `with_*` setters, so future knobs
+/// never break callers.
 ///
 /// ```
 /// use isegen_core::SearchConfig;
-/// let config = SearchConfig::new().with_max_passes(3).with_restarts(1);
+/// let config = SearchConfig::default().with_max_passes(3).with_restarts(1);
 /// assert_eq!(config.max_passes, 3);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -48,10 +47,10 @@ pub struct SearchConfig {
     /// when set, a block whose free (searchable) node count exceeds
     /// [`MultilevelConfig::min_coarse_ops`] is coarsened into a
     /// hierarchy of supernode quotients, searched at the coarsest
-    /// level, and refined level by level from the projected cut
-    /// (see [`crate::coarsen`] docs). `None` (the default) always runs
-    /// the single-level search; blocks at or below the threshold run
-    /// the single-level search bit for bit even when this is set.
+    /// level, and refined level by level from the projected cut within
+    /// a fixed boundary band. `None` (the default) always runs the
+    /// single-level search; blocks at or below the threshold run the
+    /// single-level search bit for bit even when this is set.
     pub multilevel: Option<MultilevelConfig>,
 }
 
@@ -68,12 +67,6 @@ impl Default for SearchConfig {
 }
 
 impl SearchConfig {
-    /// Alias of [`SearchConfig::default`], reading better at the head of
-    /// a builder chain.
-    pub fn new() -> Self {
-        SearchConfig::default()
-    }
-
     /// Sets the maximum number of improvement passes.
     pub fn with_max_passes(mut self, max_passes: usize) -> Self {
         self.max_passes = max_passes;
@@ -508,9 +501,9 @@ fn search_impl(
     if free.is_empty() {
         return (Cut::empty(n), CacheStats::default(), None);
     }
-    if let Some(ml) = config.multilevel.map(|ml| ml.normalized()) {
+    if let Some(ml) = &config.multilevel {
         if free.len() > ml.min_coarse_ops {
-            return multilevel_search(ctx, io, config, &ml, &free, threads, pool);
+            return multilevel_search(ctx, io, config, ml, &free, threads, pool);
         }
     }
     let (cut, stats) = portfolio_search(ctx, io, config, &free, threads, pool, None);

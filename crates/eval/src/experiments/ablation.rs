@@ -102,7 +102,7 @@ pub fn run() -> AblationResult {
     let rows = Variant::ALL
         .iter()
         .map(|&variant| {
-            let search = SearchConfig::new().with_weights(variant.weights());
+            let search = SearchConfig::default().with_weights(variant.weights());
             let speedups = apps
                 .iter()
                 .map(|(name, app)| {

@@ -39,7 +39,7 @@ pub fn run(max_passes: usize) -> ConvergenceResult {
             let ctx = BlockContext::new(block, &model);
             let merit_by_passes: Vec<f64> = (1..=max_passes)
                 .map(|k| {
-                    let config = SearchConfig::new().with_max_passes(k);
+                    let config = SearchConfig::default().with_max_passes(k);
                     Search::new(config).run(&ctx, io).cut.merit()
                 })
                 .collect();

@@ -92,15 +92,16 @@ fn node_choices(i: u64) -> u64 {
 ///
 /// The enumeration covers every DAG on `n` topologically ordered nodes
 /// with in-degree ≤ 2 (the shape of binary-operator data-flow graphs);
-/// each node independently picks one of [`node_choices`] predecessor
-/// sets, so the count is the product over nodes.
+/// node `i` independently picks one of `1 + i + i(i+1)/2` predecessor
+/// sets (none, one earlier node, or an unordered pair with repetition),
+/// so the count is the product over nodes.
 pub fn enumeration_count(n: usize) -> u64 {
     (0..n as u64).map(node_choices).product()
 }
 
 /// Builds the DAG at `index` in the deterministic enumeration order of
 /// [`enumerate_dags`]; `index` is interpreted in the mixed-radix system
-/// whose digit `i` has base [`node_choices`]`(i)`.
+/// whose digit `i` has base `1 + i + i(i+1)/2`.
 ///
 /// # Panics
 ///

@@ -13,7 +13,7 @@
 //!   functions).
 //! * [`AreaModel`] — NAND2-equivalent gate counts per operator, giving
 //!   AFU area estimates next to the latency model's delays.
-//! * [`AfuLibrary`] — bundles a whole [`IseSelection`] into named custom
+//! * [`AfuLibrary`] — bundles a whole [`IseSelection`](isegen_core::IseSelection) into named custom
 //!   instructions with their Verilog, area, delay and instance counts.
 //! * [`sim`] — a parser + evaluator for the emitted Verilog subset, so
 //!   the generated *text* is executed, not just inspected.

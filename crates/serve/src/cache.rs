@@ -58,45 +58,60 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// Everything that distinguishes one selection run from another on the
-/// same application. Thread count is deliberately absent: the driver's
-/// selection is byte-identical at every thread count, so one memoised
-/// selection serves them all.
+/// same application, as one canonical byte string. Thread count is
+/// deliberately absent: the driver's selection is byte-identical at
+/// every thread count, so one memoised selection serves them all.
+///
+/// [`SelectionKey::new`] is the only code that knows the layout; the
+/// disk log stores the bytes as they are. Changing the layout must bump
+/// the log's [`crate::disk::MAGIC`], so that no old record can alias a
+/// new configuration.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct SelectionKey {
-    pub(crate) io: (u32, u32),
-    pub(crate) max_ises: usize,
-    pub(crate) reuse_matching: bool,
-    pub(crate) max_passes: usize,
-    pub(crate) restarts: usize,
-    /// Gain weights by bit pattern (exact; `-0.0` and `0.0` differ).
-    pub(crate) weights: [u64; 5],
-    /// Multilevel knobs `(min_coarse_ops, max_levels, boundary_band)`
-    /// when the coarsen→K-L→uncoarsen pipeline is on; `None` keeps
-    /// single-level memos from ever aliasing multilevel ones.
-    pub(crate) multilevel: Option<(usize, usize, usize)>,
-}
+pub struct SelectionKey(Box<[u8]>);
 
 impl SelectionKey {
-    /// Derives the key from a driver + search configuration.
+    /// Derives the key from a driver + search configuration: the I/O
+    /// bounds, `max_ises`, reuse matching, passes, restarts, the gain
+    /// weights by bit pattern (exact; `-0.0` and `0.0` differ) and the
+    /// multilevel knob, each fixed-width little-endian. Multilevel off
+    /// and on get distinct tag bytes, so a single-level memo never
+    /// answers a multilevel request.
     pub fn new(config: &IseConfig, search: &SearchConfig) -> Self {
         let w = &search.weights;
-        SelectionKey {
-            io: (config.io.max_inputs(), config.io.max_outputs()),
-            max_ises: config.max_ises,
-            reuse_matching: config.reuse_matching,
-            max_passes: search.max_passes,
-            restarts: search.restarts,
-            weights: [
-                w.merit().to_bits(),
-                w.io_penalty().to_bits(),
-                w.affinity().to_bits(),
-                w.growth().to_bits(),
-                w.independence().to_bits(),
-            ],
-            multilevel: search
-                .multilevel
-                .map(|ml| (ml.min_coarse_ops, ml.max_levels, ml.boundary_band)),
+        let mut b = Vec::new();
+        b.extend(config.io.max_inputs().to_le_bytes());
+        b.extend(config.io.max_outputs().to_le_bytes());
+        b.extend((config.max_ises as u64).to_le_bytes());
+        b.push(u8::from(config.reuse_matching));
+        b.extend((search.max_passes as u64).to_le_bytes());
+        b.extend((search.restarts as u64).to_le_bytes());
+        for x in [
+            w.merit(),
+            w.io_penalty(),
+            w.affinity(),
+            w.growth(),
+            w.independence(),
+        ] {
+            b.extend(x.to_bits().to_le_bytes());
         }
+        match search.multilevel {
+            None => b.push(0),
+            Some(ml) => {
+                b.push(1);
+                b.extend((ml.min_coarse_ops as u64).to_le_bytes());
+            }
+        }
+        SelectionKey(b.into())
+    }
+
+    /// Rebuilds a key from the bytes of [`SelectionKey::as_bytes`].
+    pub(crate) fn from_bytes(bytes: &[u8]) -> Self {
+        SelectionKey(bytes.into())
+    }
+
+    /// The canonical encoding.
+    pub(crate) fn as_bytes(&self) -> &[u8] {
+        &self.0
     }
 }
 
@@ -556,16 +571,18 @@ mod tests {
         let kw = SelectionKey::new(&base, &heavy_search);
         assert_ne!(k1, kw);
         assert_eq!(kw, SelectionKey::new(&base, &heavy_search.clone()));
-        // Multilevel on/off and each knob must produce distinct keys —
-        // a single-level memo must never answer a multilevel request.
+        // Multilevel on/off and each coarsening target must produce
+        // distinct keys — a single-level memo must never answer a
+        // multilevel request.
         use isegen_core::MultilevelConfig;
-        let ml = search.clone().with_multilevel(MultilevelConfig::default());
-        let km = SelectionKey::new(&base, &ml);
+        let with_min = |min| {
+            let ml = MultilevelConfig::default().with_min_coarse_ops(min);
+            SelectionKey::new(&base, &search.clone().with_multilevel(ml))
+        };
+        let km = with_min(256);
         assert_ne!(k1, km);
-        let ml2 = search
-            .clone()
-            .with_multilevel(MultilevelConfig::default().with_boundary_band(5));
-        assert_ne!(km, SelectionKey::new(&base, &ml2));
-        assert_eq!(km, SelectionKey::new(&base, &ml.clone()));
+        assert_ne!(km, with_min(512));
+        assert_eq!(km, with_min(256));
+        assert_eq!(km, SelectionKey::from_bytes(km.as_bytes()));
     }
 }

@@ -8,17 +8,22 @@
 //!
 //! # Format
 //!
-//! The file starts with the 8-byte magic `ISEDLOG1`, followed by
-//! records. Each record is
+//! The file starts with the 8-byte magic [`MAGIC`] (`ISEDLOG2`),
+//! followed by records. Each record is
 //!
 //! ```text
 //! u32 LE payload length | u64 LE FNV-1a(payload) | payload bytes
 //! ```
 //!
 //! Payloads are tagged (`1` = application, `2` = selection) and encode
-//! everything needed to rebuild the memo bit-for-bit: node sets as id
+//! everything needed to rebuild the memo bit-for-bit: the selection's
+//! [`SelectionKey`] as length-prefixed opaque bytes, node sets as id
 //! lists, `f64`s by bit pattern (signed zeros included), counts as
 //! fixed-width little-endian integers. See [`encode_record`].
+//!
+//! A log with another magic, an `ISEDLOG1` log of the previous format
+//! revision included, is not trusted: it is truncated and the cache
+//! starts cold once.
 //!
 //! # Recovery guarantees
 //!
@@ -39,7 +44,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 /// File magic: identifies the log and its format revision.
-pub const MAGIC: &[u8; 8] = b"ISEDLOG1";
+pub const MAGIC: &[u8; 8] = b"ISEDLOG2";
 
 /// Hard cap on one record payload. The largest bundled workload's
 /// canonical IR is well under 1 MiB; 64 MiB matches the wire-level
@@ -102,25 +107,10 @@ pub fn encode_record(record: &Record) -> Vec<u8> {
             key,
             selection,
         } => {
-            // Tag 2 is the pre-multilevel layout; single-level keys keep
-            // using it so logs written by older builds replay unchanged.
-            // Multilevel keys get tag 3 with the three knobs appended.
-            out.push(if key.multilevel.is_some() { 3 } else { 2 });
+            out.push(2);
             put_u64(&mut out, *app_hash);
-            put_u32(&mut out, key.io.0);
-            put_u32(&mut out, key.io.1);
-            put_u64(&mut out, key.max_ises as u64);
-            out.push(u8::from(key.reuse_matching));
-            put_u64(&mut out, key.max_passes as u64);
-            put_u64(&mut out, key.restarts as u64);
-            for w in key.weights {
-                put_u64(&mut out, w);
-            }
-            if let Some((min_coarse_ops, max_levels, boundary_band)) = key.multilevel {
-                put_u64(&mut out, min_coarse_ops as u64);
-                put_u64(&mut out, max_levels as u64);
-                put_u64(&mut out, boundary_band as u64);
-            }
+            put_u32(&mut out, key.as_bytes().len() as u32);
+            out.extend_from_slice(key.as_bytes());
             put_u64(&mut out, selection.total_sw_cycles);
             put_u64(&mut out, selection.saved_cycles);
             put_u32(&mut out, selection.ises.len() as u32);
@@ -250,20 +240,10 @@ pub fn decode_record(payload: &[u8]) -> Result<Record, DecodeError> {
                 canonical: text,
             }
         }
-        tag @ (2 | 3) => {
+        2 => {
             let app_hash = r.u64()?;
-            let mut key = SelectionKey {
-                io: (r.u32()?, r.u32()?),
-                max_ises: r.u64()? as usize,
-                reuse_matching: r.u8()? != 0,
-                max_passes: r.u64()? as usize,
-                restarts: r.u64()? as usize,
-                weights: [r.u64()?, r.u64()?, r.u64()?, r.u64()?, r.u64()?],
-                multilevel: None,
-            };
-            if tag == 3 {
-                key.multilevel = Some((r.u64()? as usize, r.u64()? as usize, r.u64()? as usize));
-            }
+            let key_len = r.count(1)?;
+            let key = SelectionKey::from_bytes(r.take(key_len)?);
             let total_sw_cycles = r.u64()?;
             let saved_cycles = r.u64()?;
             let n_ises = r.count(1)?;

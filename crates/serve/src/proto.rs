@@ -41,24 +41,26 @@
 //! `restarts`, `weights` (`{"merit":…, "io_penalty":…, "affinity":…,
 //! "growth":…, "independence":…}`, each finite with magnitude at most
 //! `GainWeights::MAX_MAGNITUDE`, `merit` and `io_penalty` ≥ 0) and
-//! `multilevel`
-//! (`{"min_coarse_ops":…, "max_levels":…, "boundary_band":…}`, each
-//! member optional). Defaults are the paper's headline configuration.
+//! `multilevel` (`{"min_coarse_ops":…}`, the member optional).
+//! Defaults are the paper's headline configuration.
 //! `threads` is the thread budget of every cut search: the K-L
 //! trajectory portfolio fans out over it, with the selection
 //! byte-identical at every count. It is bounded by [`MAX_THREADS`], not
 //! [`MAX_KNOB`], because every search of the request starts that many
 //! OS threads. `multilevel` enables the
 //! coarsen→K-L→uncoarsen pipeline on blocks whose free-node count
-//! exceeds `min_coarse_ops`; smaller blocks run the single-level search
-//! unchanged. Unknown members are ignored.
+//! exceeds `min_coarse_ops` (default 512, bounded to `1..=MAX_KNOB`);
+//! smaller blocks run the single-level search unchanged. The V-cycle's
+//! level cap and refinement band are fixed library constants. Unknown
+//! members are ignored, including an older client's `max_levels` and
+//! `boundary_band`.
 
 use crate::json::Json;
 use isegen_core::{GainWeights, IoConstraints, IseConfig, MultilevelConfig, SearchConfig};
 use std::fmt;
 
-/// Upper bound on `max_ises`, `max_passes`, `restarts`, the `multilevel`
-/// members, `io` components and `vectors` in a request — generous for
+/// Upper bound on `max_ises`, `max_passes`, `restarts`,
+/// `multilevel.min_coarse_ops`, `io` components and `vectors` in a request — generous for
 /// real use, small enough that one hostile request cannot pin a worker
 /// thread forever.
 pub const MAX_KNOB: u64 = 4096;
@@ -230,30 +232,16 @@ pub fn parse_config(config: Option<&Json>) -> Result<RequestConfig, ProtoError> 
             ));
         }
         let d = MultilevelConfig::default();
-        out.search = out.search.with_multilevel(
-            MultilevelConfig::new()
-                .with_min_coarse_ops(bounded(
-                    ml,
-                    "config.multilevel",
-                    "min_coarse_ops",
-                    d.min_coarse_ops,
-                    MAX_KNOB,
-                )?)
-                .with_max_levels(bounded(
-                    ml,
-                    "config.multilevel",
-                    "max_levels",
-                    d.max_levels,
-                    MAX_KNOB,
-                )?)
-                .with_boundary_band(bounded(
-                    ml,
-                    "config.multilevel",
-                    "boundary_band",
-                    d.boundary_band,
-                    MAX_KNOB,
-                )?),
-        );
+        let min_coarse_ops = bounded(
+            ml,
+            "config.multilevel",
+            "min_coarse_ops",
+            d.min_coarse_ops,
+            MAX_KNOB,
+        )?;
+        out.search = out
+            .search
+            .with_multilevel(d.with_min_coarse_ops(min_coarse_ops));
     }
     if let Some(w) = obj.get("weights") {
         if !matches!(w, Json::Obj(_)) {
@@ -373,12 +361,17 @@ mod tests {
             parse_config(Some(&j)).unwrap().search.multilevel,
             Some(MultilevelConfig::default())
         );
-        // Partial object → unspecified members keep their defaults.
-        let j = json::parse(r#"{"multilevel":{"min_coarse_ops":256,"boundary_band":3}}"#).unwrap();
-        let ml = parse_config(Some(&j)).unwrap().search.multilevel.unwrap();
-        assert_eq!(ml.min_coarse_ops, 256);
-        assert_eq!(ml.max_levels, MultilevelConfig::default().max_levels);
-        assert_eq!(ml.boundary_band, 3);
+        // `min_coarse_ops` is the one member read; an older client's
+        // removed knobs are ignored like any unknown member, whatever
+        // their value.
+        let j = json::parse(
+            r#"{"multilevel":{"min_coarse_ops":256,"max_levels":0,"boundary_band":99999999}}"#,
+        )
+        .unwrap();
+        assert_eq!(
+            parse_config(Some(&j)).unwrap().search.multilevel,
+            Some(MultilevelConfig::default().with_min_coarse_ops(256))
+        );
     }
 
     #[test]
@@ -392,10 +385,6 @@ mod tests {
             r#"{"multilevel":{"min_coarse_ops":"big"}}"#,
             r#"{"multilevel":{"min_coarse_ops":3.5}}"#,
             r#"{"multilevel":{"min_coarse_ops":4294967296}}"#,
-            r#"{"multilevel":{"max_levels":0}}"#,
-            r#"{"multilevel":{"max_levels":-1}}"#,
-            r#"{"multilevel":{"boundary_band":0}}"#,
-            r#"{"multilevel":{"boundary_band":99999999}}"#,
         ];
         for text in cases {
             let j = json::parse(text).unwrap();

@@ -448,6 +448,9 @@ impl Service {
                     ("cached_probes", s.cached_probes.into()),
                     ("probes_avoided_pct", (s.avoided_fraction() * 100.0).into()),
                     ("commits", s.commits.into()),
+                    ("queue_pops", s.queue_pops.into()),
+                    ("queue_reinsertions", s.queue_reinsertions.into()),
+                    ("hull_retests", s.hull_retests.into()),
                     ("trajectories", s.trajectories.into()),
                     ("arena_reuses", s.arena_reuses.into()),
                     ("arena_allocs", s.arena_allocs.into()),

@@ -52,28 +52,23 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Any selection record — including NaN latencies, which survive as
-    /// bit patterns — re-encodes to identical bytes after a decode.
-    /// Keys without multilevel knobs use the legacy tag-2 layout, keys
-    /// with them the tag-3 layout; both must carry the knobs faithfully.
+    /// bit patterns — re-encodes to identical bytes after a decode. The
+    /// key travels as opaque bytes, with and without a multilevel knob.
+    #[test]
     fn selection_records_round_trip_via_bytes(
         app_hash in any::<u64>(),
         total_sw in any::<u64>(),
         saved in any::<u64>(),
-        with_ml in any::<bool>(),
-        ml_knobs in (1usize..4096, 1usize..4096, 1usize..4096),
+        min_coarse_ops in (any::<bool>(), 0usize..4096).prop_map(|(on, m)| on.then_some(m)),
         ise_seeds in proptest::collection::vec(
             (0usize..4, any::<u64>(), any::<u64>(), any::<u64>(), 1usize..24),
             0..4,
         ),
     ) {
         let mut search = SearchConfig::default();
-        if let Some((min_coarse_ops, max_levels, boundary_band)) = with_ml.then_some(ml_knobs) {
-            search = search.with_multilevel(
-                isegen_core::MultilevelConfig::new()
-                    .with_min_coarse_ops(min_coarse_ops)
-                    .with_max_levels(max_levels)
-                    .with_boundary_band(boundary_band),
-            );
+        if let Some(min) = min_coarse_ops {
+            search = search
+                .with_multilevel(isegen_core::MultilevelConfig::default().with_min_coarse_ops(min));
         }
         let key = SelectionKey::new(&IseConfig::paper_default(), &search);
         let ises = ise_seeds
@@ -112,6 +107,10 @@ proptest! {
         // NaN makes Record's PartialEq useless here; byte equality of the
         // re-encoding is the stronger statement anyway.
         prop_assert_eq!(encode_record(&decoded), payload);
+        let Record::Selection { key: back, .. } = decoded else {
+            return Err(TestCaseError::fail("decoded as another record kind"));
+        };
+        prop_assert_eq!(back, SelectionKey::new(&IseConfig::paper_default(), &search));
     }
 }
 
@@ -186,16 +185,25 @@ fn bit_flips_invalidate_the_record_and_its_suffix() {
 
 #[test]
 fn foreign_file_is_reinitialized_not_trusted() {
-    let path = temp_path("foreign");
-    std::fs::write(&path, b"definitely not a cache log").expect("write");
-    let (log, report) = DiskLog::open(&path).expect("open");
-    assert!(report.records.is_empty());
-    assert!(report.truncated_bytes > 0);
-    log.append(&app_record("app a\nblock b freq 1\n  n = in\nend\n"))
-        .expect("append");
-    let (_, report) = DiskLog::open(&path).expect("reopen");
-    assert_eq!(report.records.len(), 1);
-    std::fs::remove_file(&path).ok();
+    // A log of the previous format revision is foreign too: its records
+    // would decode under the old layout, so it starts cold.
+    let mut old_log = b"ISEDLOG1".to_vec();
+    old_log.extend_from_slice(&frame(&encode_record(&app_record("app o\n"))));
+    for (tag, bytes) in [
+        ("foreign", b"definitely not a cache log".to_vec()),
+        ("isedlog1", old_log),
+    ] {
+        let path = temp_path(tag);
+        std::fs::write(&path, &bytes).expect("write");
+        let (log, report) = DiskLog::open(&path).expect("open");
+        assert!(report.records.is_empty(), "{tag}");
+        assert_eq!(report.truncated_bytes, bytes.len() as u64, "{tag}");
+        log.append(&app_record("app a\nblock b freq 1\n  n = in\nend\n"))
+            .expect("append");
+        let (_, report) = DiskLog::open(&path).expect("reopen");
+        assert_eq!(report.records.len(), 1, "{tag}");
+        std::fs::remove_file(&path).ok();
+    }
 }
 
 /// The acceptance check of the tier: submit + select through the real

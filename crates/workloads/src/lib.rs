@@ -38,7 +38,7 @@
 //!   sweeping width/depth/fan-in/I/O pressure, with named members
 //!   [`synth_tiny`] … [`synth_xl`] (64–2048 ops).
 //!
-//! Every workload is an [`Application`] with the hot kernel block plus a
+//! Every workload is an [`isegen_ir::Application`] with the hot kernel block plus a
 //! memory-bound "rest of program" block, with frequencies chosen so the
 //! kernel's share of total cycles is realistic for the benchmark (this
 //! only scales the absolute speedup numbers, not who wins).

@@ -15,7 +15,7 @@ use isegen::workloads::{random_application, workload_by_name, RandomWorkloadConf
 use proptest::prelude::*;
 
 fn audited(cadence: usize) -> SearchConfig {
-    SearchConfig::new().with_audit_cadence(cadence)
+    SearchConfig::default().with_audit_cadence(cadence)
 }
 
 /// `IsegenAudit` in the environment turns the auditor on for *default*
@@ -50,7 +50,7 @@ proptest! {
         let ctx = BlockContext::new(block, &model);
         let io = IoConstraints::new(4, 2);
 
-        let plain = Search::new(SearchConfig::new()).run(&ctx, io);
+        let plain = Search::new(SearchConfig::default()).run(&ctx, io);
         let checked = Search::new(audited(2)).run(&ctx, io);
         prop_assert_eq!(
             checked.cut.merit().to_bits(),
@@ -82,7 +82,7 @@ fn audit_every_commit_on_registry_workload() {
     let io = IoConstraints::new(4, 2);
     for block in app.blocks() {
         let ctx = BlockContext::new(block, &model);
-        let plain = Search::new(SearchConfig::new()).run(&ctx, io);
+        let plain = Search::new(SearchConfig::default()).run(&ctx, io);
         let checked = Search::new(audited(1)).run(&ctx, io);
         assert_eq!(checked.cut, plain.cut, "audit changed the cut");
         assert_eq!(

@@ -169,7 +169,7 @@ fn check(specs: &[WorkloadSpec], rows: Vec<String>) {
 #[test]
 fn registry_selections_match_the_golden_file() {
     let specs = workloads_in_tiers(&[SizeTier::Small, SizeTier::Medium]);
-    let vcycle = MultilevelConfig::new().with_min_coarse_ops(16);
+    let vcycle = MultilevelConfig::default().with_min_coarse_ops(16);
     let mut rows = Vec::new();
     for spec in &specs {
         let app = spec.application();

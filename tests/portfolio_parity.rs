@@ -111,7 +111,7 @@ proptest! {
         let sign = if negate == 1 { -1.0 } else { 1.0 };
         let weights = GainWeights::new(cap, cap, sign * cap, sign * cap, -sign * cap)
             .expect("at-cap weights are valid");
-        let config = SearchConfig::new().with_weights(weights);
+        let config = SearchConfig::default().with_weights(weights);
         let sequential = Search::new(config.clone()).run(&ctx, io).cut;
         for threads in THREAD_COUNTS {
             let parallel = Search::new(config.clone()).threads(threads).run(&ctx, io).cut;

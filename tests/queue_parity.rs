@@ -93,7 +93,7 @@ fn assert_trace_matches(
     forbidden: Option<&NodeSet>,
     label: &str,
 ) -> OracleRun {
-    let config = SearchConfig::new().with_weights(weights);
+    let config = SearchConfig::default().with_weights(weights);
     let oracle = scan_oracle(ctx, io, &weights, config.max_passes, forbidden);
     assert_eq!(
         trajectory_commit_trace(ctx, io, &config, forbidden),
@@ -130,7 +130,7 @@ fn assert_matches_oracle(
         base
     };
 
-    let mut search = Search::new(SearchConfig::new().with_restarts(1));
+    let mut search = Search::new(SearchConfig::default().with_restarts(1));
     if let Some(f) = forbidden {
         search = search.forbidden(f);
     }

@@ -214,6 +214,14 @@ fn daemon_matches_library_path_and_serves_from_cache() {
         let skey = |k: &str| search.get(k).and_then(Json::as_u64).unwrap_or(0);
         assert!(skey("trajectories") > 0, "no trajectories counted: {stats}");
         assert!(skey("commits") > 0, "no commits counted: {stats}");
+        // The queue and the hull-only class report their work too.
+        for k in ["queue_pops", "queue_reinsertions", "hull_retests"] {
+            assert!(
+                search.get(k).and_then(Json::as_u64).is_some(),
+                "search.{k} missing: {stats}"
+            );
+        }
+        assert!(skey("queue_pops") > 0, "no queue pops counted: {stats}");
         assert!(
             skey("arena_reuses") > 0,
             "arena pool was never reused: {stats}"
