@@ -1,28 +1,18 @@
 //! Static analysis for ISEGEN IR: a lint framework that diagnoses
-//! degenerate or hostile dataflow blocks *before* the K-L search sees
-//! them.
+//! degenerate or suspicious dataflow blocks *before* the K-L search
+//! sees them.
 //!
-//! The paper's flow (Biswas et al., DATE 2005) trusts its input blocks:
-//! the search assumes an acyclic, rank-ordered DFG with sane latencies
-//! and at least one ISE-eligible operation. With external front-ends on
-//! the roadmap (BLIF, text IR over the `ised` wire), that trust has to
-//! be earned — this crate turns the implicit preconditions into named,
-//! testable diagnostics.
-//!
-//! # Architecture
-//!
-//! Lints run over a [`BlockView`] — a *raw*, unvalidated mirror of a
-//! basic block (opcodes, operand indices, live-out flags, frequency).
-//! Unlike [`isegen_ir::BlockBuilder`] and the text parser, a view can
-//! encode anything: cycles, forward references, out-of-range operands,
-//! dead nodes. That is the point — the validated `Application` path can
-//! never exhibit half of the defects below, but future front-ends (and
-//! the firing tests in `tests/analysis_lint.rs`) can, so the passes are
-//! written against the hostile representation and [`analyze`] merely
-//! projects a well-formed [`Application`] into it.
-//!
-//! Every pass is bounds-checked end to end: [`analyze`] and
-//! [`analyze_view`] never panic, whatever the input.
+//! The paper's flow (Biswas et al., DATE 2005) assumes an acyclic,
+//! rank-ordered DFG with sane latencies and at least one ISE-eligible
+//! operation. The IR types enforce the first two at construction
+//! ([`isegen_graph::Dag::add_edge`] only accepts forward edges,
+//! [`LatencyModel::with_hw_delay`] only finite non-negative delays), so
+//! the passes read a validated [`isegen_ir::BasicBlock`] directly and
+//! diagnose what a valid block can still get wrong: dead or redundant
+//! work, port budgets no cut can meet, unprofitable latencies, odd
+//! frequencies, and — for blocks assembled with
+//! [`isegen_ir::BasicBlock::from_dag`], which skips the builder's
+//! checks — operand counts that break the opcode's arity.
 //!
 //! # Diagnostic registry
 //!
@@ -32,13 +22,15 @@
 //! | A002 | warning  | unused input: no consumer and not live-out |
 //! | A003 | warning  | duplicate structurally-identical operation |
 //! | A004 | warning  | algebraically foldable operation (`x^x`, `not(not(x))`, …) |
-//! | A005 | error    | combinational cycle |
-//! | A006 | error    | rank inconsistency: out-of-range/forward operand or arity mismatch |
+//! | A006 | error    | arity mismatch: operand count differs from the opcode's arity |
 //! | A007 | warning  | I/O infeasibility: no nonempty cut fits the port budget |
-//! | A008 | error    | invalid latency: NaN/infinite/negative hardware delay |
 //! | A009 | warning  | unprofitable latency: hardware delay ≥ software cycles |
 //! | A010 | warning  | suspicious frequency: zero or above `MAX_FREQUENCY` |
 //! | A011 | warning  | duplicate input label |
+//!
+//! Codes are stable: A005 (combinational cycle) and A008 (invalid
+//! latency) are retired, because no block or model the IR can build
+//! triggers them, and their numbers stay unused.
 //!
 //! Line numbers refer to the *canonical* text-IR serialization
 //! ([`isegen_ir::write_application`]), which is deterministic, so spans
@@ -72,10 +64,8 @@
 #![warn(missing_docs)]
 
 mod passes;
-mod view;
 
 pub use passes::{registry, Pass};
-pub use view::BlockView;
 
 use isegen_core::IoConstraints;
 use isegen_ir::{Application, LatencyModel};
@@ -141,7 +131,7 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// Configuration the environment-dependent passes (A007..A009) lint
+/// Configuration the environment-dependent passes (A007, A009) lint
 /// against.
 #[derive(Debug, Clone)]
 pub struct LintOptions {
@@ -174,32 +164,14 @@ pub fn analyze(app: &Application) -> Vec<Diagnostic> {
 /// options.
 pub fn analyze_with(app: &Application, opts: &LintOptions) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    for view in view::app_views(app) {
-        run_registry(&view, opts, &mut out);
+    // Canonical-text line of each block header: line 1 is `app "name"`,
+    // and a block spans its header, one line per node, one `live` line
+    // per live-out, and `end`.
+    let mut header = 2;
+    for block in app.blocks() {
+        passes::run_registry(block, header, opts, &mut out);
+        header += 1 + block.node_count() + block.live_outs().len() + 1;
     }
-    sort_diagnostics(&mut out);
-    out
-}
-
-/// Runs the full registry over one raw [`BlockView`].
-///
-/// This is the hostile-input entry point: the view may contain cycles,
-/// forward references and out-of-range operands, and the passes must
-/// (and do) survive all of it.
-pub fn analyze_view(view: &BlockView, opts: &LintOptions) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    run_registry(view, opts, &mut out);
-    sort_diagnostics(&mut out);
-    out
-}
-
-fn run_registry(view: &BlockView, opts: &LintOptions, out: &mut Vec<Diagnostic>) {
-    for pass in registry() {
-        pass.run(view, opts, out);
-    }
-}
-
-fn sort_diagnostics(out: &mut [Diagnostic]) {
     out.sort_by(|a, b| {
         (a.line.unwrap_or(usize::MAX), a.node, a.code, &a.block).cmp(&(
             b.line.unwrap_or(usize::MAX),
@@ -208,4 +180,5 @@ fn sort_diagnostics(out: &mut [Diagnostic]) {
             &b.block,
         ))
     });
+    out
 }

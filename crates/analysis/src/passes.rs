@@ -1,56 +1,116 @@
-//! The lint pass registry (A001..A011).
+//! The lint pass registry.
 //!
-//! Every pass runs over a raw [`BlockView`] and must survive arbitrary
-//! garbage: out-of-range operand indices, forward references, cycles,
-//! mismatched arities. A pass that assumes a well-formed block is a bug
-//! — `tests/analysis_lint.rs` drives the registry with mutated and
-//! hand-built hostile views to enforce that.
+//! Every pass reads a validated [`BasicBlock`]: operand ids are in
+//! range and precede their consumer ([`isegen_graph::Dag::add_edge`]),
+//! and latencies are finite and non-negative, so no pass bounds-checks
+//! an operand or guards against a cycle or a NaN delay.
 
-use crate::{BlockView, Diagnostic, LintOptions, Severity};
+use crate::{Diagnostic, LintOptions, Severity};
+use isegen_graph::NodeId;
 use isegen_ir::text::MAX_FREQUENCY;
-use isegen_ir::Opcode;
+use isegen_ir::{BasicBlock, Opcode};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
+/// One finding of a pass: the node it is anchored to, if any, and its
+/// message. The driver stamps code, severity, block and line onto it.
+pub(crate) type Finding = (Option<usize>, String);
+
 /// A single lint rule.
-///
-/// Implementations push zero or more [`Diagnostic`]s per block; they
-/// must never panic, whatever the view contains.
-pub trait Pass {
+#[derive(Debug)]
+pub struct Pass {
     /// Stable diagnostic code (`A001`..).
-    fn code(&self) -> &'static str;
-    /// Default severity of this rule's findings.
-    fn severity(&self) -> Severity;
+    pub code: &'static str,
+    /// Severity of this rule's findings.
+    pub severity: Severity,
     /// One-line description for docs and reports.
-    fn summary(&self) -> &'static str;
+    pub summary: &'static str,
     /// Runs the rule over one block.
-    fn run(&self, view: &BlockView, opts: &LintOptions, out: &mut Vec<Diagnostic>);
+    pub(crate) run: fn(&BasicBlock, &LintOptions, &mut Vec<Finding>),
 }
+
+const REGISTRY: &[Pass] = &[
+    Pass {
+        code: "A001",
+        severity: Severity::Warning,
+        summary: "dead node: no live-out or store is reachable",
+        run: dead_node,
+    },
+    Pass {
+        code: "A002",
+        severity: Severity::Warning,
+        summary: "unused input: no consumer and not live-out",
+        run: unused_input,
+    },
+    Pass {
+        code: "A003",
+        severity: Severity::Warning,
+        summary: "duplicate structurally-identical operation",
+        run: duplicate_op,
+    },
+    Pass {
+        code: "A004",
+        severity: Severity::Warning,
+        summary: "algebraically foldable operation",
+        run: foldable_op,
+    },
+    Pass {
+        code: "A006",
+        severity: Severity::Error,
+        summary: "arity mismatch: operand count differs from the opcode's arity",
+        run: arity_mismatch,
+    },
+    Pass {
+        code: "A007",
+        severity: Severity::Warning,
+        summary: "I/O infeasibility: no nonempty cut fits the port budget",
+        run: io_infeasible,
+    },
+    Pass {
+        code: "A009",
+        severity: Severity::Warning,
+        summary: "unprofitable latency: hardware delay >= software cycles",
+        run: unprofitable_latency,
+    },
+    Pass {
+        code: "A010",
+        severity: Severity::Warning,
+        summary: "suspicious frequency: zero or above MAX_FREQUENCY",
+        run: suspicious_frequency,
+    },
+    Pass {
+        code: "A011",
+        severity: Severity::Warning,
+        summary: "duplicate input label",
+        run: duplicate_input_label,
+    },
+];
 
 /// The full pass registry, in code order.
-pub fn registry() -> Vec<Box<dyn Pass>> {
-    vec![
-        Box::new(DeadNode),
-        Box::new(UnusedInput),
-        Box::new(DuplicateOp),
-        Box::new(FoldableOp),
-        Box::new(CombinationalCycle),
-        Box::new(RankInconsistency),
-        Box::new(IoInfeasible),
-        Box::new(InvalidLatency),
-        Box::new(UnprofitableLatency),
-        Box::new(SuspiciousFrequency),
-        Box::new(DuplicateInputLabel),
-    ]
+pub fn registry() -> &'static [Pass] {
+    REGISTRY
 }
 
-fn diag(pass: &dyn Pass, view: &BlockView, node: Option<usize>, message: String) -> Diagnostic {
-    Diagnostic {
-        code: pass.code(),
-        severity: pass.severity(),
-        block: view.name().to_string(),
-        node,
-        line: node.and_then(|n| view.line_of(n)).or(view.header_line()),
-        message,
+/// Runs every pass over `block`, whose `block` header sits on
+/// canonical-text line `header`: node `n` is defined on line
+/// `header + 1 + n`, and block-level findings point at the header.
+pub(crate) fn run_registry(
+    block: &BasicBlock,
+    header: usize,
+    opts: &LintOptions,
+    out: &mut Vec<Diagnostic>,
+) {
+    let mut found = Vec::new();
+    for pass in registry() {
+        (pass.run)(block, opts, &mut found);
+        out.extend(found.drain(..).map(|(node, message)| Diagnostic {
+            code: pass.code,
+            severity: pass.severity,
+            block: block.name().to_string(),
+            node,
+            line: Some(node.map_or(header, |n| header + 1 + n)),
+            message,
+        }));
     }
 }
 
@@ -70,350 +130,134 @@ fn is_commutative(op: Opcode) -> bool {
     )
 }
 
-// ---------------------------------------------------------------------
-// A001 — dead node
-// ---------------------------------------------------------------------
-
 /// A001: a non-input node from which no live-out value or store is
 /// reachable — the search would happily include it, but its result can
-/// never be observed.
-struct DeadNode;
-
-impl Pass for DeadNode {
-    fn code(&self) -> &'static str {
-        "A001"
-    }
-    fn severity(&self) -> Severity {
-        Severity::Warning
-    }
-    fn summary(&self) -> &'static str {
-        "dead node: no live-out or store is reachable"
-    }
-    fn run(&self, view: &BlockView, _opts: &LintOptions, out: &mut Vec<Diagnostic>) {
-        let n = view.len();
-        // useful = live-out or side-effecting, closed backwards over
-        // operand edges. A worklist (not a single reverse sweep)
-        // because hostile views may contain forward references.
-        let mut useful = vec![false; n];
-        for (i, u) in useful.iter_mut().enumerate() {
-            if view.is_live_out(i) || view.opcode(i) == Some(Opcode::Store) {
-                *u = true;
+/// never be observed. Only [`BasicBlock::from_dag`] can build one: the
+/// builder and the text parser make every sink live-out.
+fn dead_node(block: &BasicBlock, _opts: &LintOptions, out: &mut Vec<Finding>) {
+    let dag = block.dag();
+    // useful = live-out or side-effecting, closed backwards over operand
+    // edges. Operands precede their consumers, so one descending sweep
+    // settles each node before any of its operands is visited.
+    let mut useful = vec![false; dag.node_count()];
+    for v in dag.node_ids().rev() {
+        if useful[v.index()] || block.is_live_out(v) || block.opcode(v) == Opcode::Store {
+            useful[v.index()] = true;
+            for &p in dag.preds(v) {
+                useful[p.index()] = true;
             }
         }
-        let mut work: Vec<usize> = (0..n).filter(|&i| useful[i]).collect();
-        while let Some(i) = work.pop() {
-            for &p in view.preds(i) {
-                if p < n && !useful[p] {
-                    useful[p] = true;
-                    work.push(p);
-                }
-            }
-        }
-        for (i, &u) in useful.iter().enumerate() {
-            if !u && view.opcode(i).is_some_and(|op| !op.is_input()) {
-                out.push(diag(
-                    self,
-                    view,
-                    Some(i),
-                    format!(
-                        "dead node: no live-out or store is reachable from n{i} ({})",
-                        view.opcode(i).map_or("?", |op| op.mnemonic())
-                    ),
-                ));
-            }
+    }
+    for (v, op) in dag.nodes() {
+        let i = v.index();
+        if !useful[i] && !op.opcode().is_input() {
+            out.push((
+                Some(i),
+                format!(
+                    "dead node: no live-out or store is reachable from n{i} ({})",
+                    op.opcode().mnemonic()
+                ),
+            ));
         }
     }
 }
-
-// ---------------------------------------------------------------------
-// A002 — unused input
-// ---------------------------------------------------------------------
 
 /// A002: an input that no operation consumes and that is not live-out.
-struct UnusedInput;
-
-impl Pass for UnusedInput {
-    fn code(&self) -> &'static str {
-        "A002"
-    }
-    fn severity(&self) -> Severity {
-        Severity::Warning
-    }
-    fn summary(&self) -> &'static str {
-        "unused input: no consumer and not live-out"
-    }
-    fn run(&self, view: &BlockView, _opts: &LintOptions, out: &mut Vec<Diagnostic>) {
-        let n = view.len();
-        let mut referenced = vec![false; n];
-        for i in 0..n {
-            for &p in view.preds(i) {
-                if p < n {
-                    referenced[p] = true;
-                }
-            }
-        }
-        for (i, &referenced) in referenced.iter().enumerate() {
-            if view.opcode(i) == Some(Opcode::Input) && !referenced && !view.is_live_out(i) {
-                let label = view.label(i).map_or(String::new(), |l| format!(" ({l:?})"));
-                out.push(diag(
-                    self,
-                    view,
-                    Some(i),
-                    format!("unused input: n{i}{label} has no consumer and is not live-out"),
-                ));
-            }
+fn unused_input(block: &BasicBlock, _opts: &LintOptions, out: &mut Vec<Finding>) {
+    let dag = block.dag();
+    for (v, op) in dag.nodes() {
+        if op.opcode() == Opcode::Input && dag.succs(v).is_empty() && !block.is_live_out(v) {
+            let i = v.index();
+            let label = op.label().map_or(String::new(), |l| format!(" ({l:?})"));
+            out.push((
+                Some(i),
+                format!("unused input: n{i}{label} has no consumer and is not live-out"),
+            ));
         }
     }
 }
-
-// ---------------------------------------------------------------------
-// A003 — duplicate structurally-identical operation
-// ---------------------------------------------------------------------
 
 /// A003: two operations with the same opcode, label and (commutatively
 /// normalized) operand list — one of them is redundant work the AFU
 /// would duplicate in silicon.
-struct DuplicateOp;
-
-impl Pass for DuplicateOp {
-    fn code(&self) -> &'static str {
-        "A003"
-    }
-    fn severity(&self) -> Severity {
-        Severity::Warning
-    }
-    fn summary(&self) -> &'static str {
-        "duplicate structurally-identical operation"
-    }
-    fn run(&self, view: &BlockView, _opts: &LintOptions, out: &mut Vec<Diagnostic>) {
-        let mut seen: HashMap<(Opcode, Vec<usize>, Option<String>), usize> = HashMap::new();
-        for i in 0..view.len() {
-            let Some(op) = view.opcode(i) else { continue };
-            if op.is_input() {
-                continue; // duplicate inputs are A011's business
-            }
-            let mut preds = view.preds(i).to_vec();
-            if is_commutative(op) {
-                preds.sort_unstable();
-            }
-            let key = (op, preds, view.label(i).map(str::to_string));
-            match seen.entry(key) {
-                std::collections::hash_map::Entry::Occupied(first) => {
-                    let j = *first.get();
-                    out.push(diag(
-                        self,
-                        view,
-                        Some(i),
-                        format!(
-                            "duplicate operation: n{i} ({}) is structurally identical to n{j}",
-                            op.mnemonic()
-                        ),
-                    ));
-                }
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    slot.insert(i);
-                }
+fn duplicate_op(block: &BasicBlock, _opts: &LintOptions, out: &mut Vec<Finding>) {
+    let dag = block.dag();
+    let mut seen: HashMap<(Opcode, Vec<NodeId>, Option<&str>), usize> = HashMap::new();
+    for (v, op) in dag.nodes() {
+        let opcode = op.opcode();
+        if opcode.is_input() {
+            continue; // duplicate inputs are A011's business
+        }
+        let mut preds = dag.preds(v).to_vec();
+        if is_commutative(opcode) {
+            preds.sort_unstable();
+        }
+        let i = v.index();
+        match seen.entry((opcode, preds, op.label())) {
+            Entry::Occupied(first) => out.push((
+                Some(i),
+                format!(
+                    "duplicate operation: n{i} ({}) is structurally identical to n{}",
+                    opcode.mnemonic(),
+                    first.get()
+                ),
+            )),
+            Entry::Vacant(slot) => {
+                slot.insert(i);
             }
         }
     }
 }
-
-// ---------------------------------------------------------------------
-// A004 — algebraically foldable operation
-// ---------------------------------------------------------------------
 
 /// A004: an operation whose result is a constant or a copy of its
 /// operand (`x^x`, `x-x`, `x&x`, `min(x,x)`, `not(not(x))`, …) — a
 /// constant-foldable subgraph the front-end should have simplified.
-struct FoldableOp;
-
-impl Pass for FoldableOp {
-    fn code(&self) -> &'static str {
-        "A004"
-    }
-    fn severity(&self) -> Severity {
-        Severity::Warning
-    }
-    fn summary(&self) -> &'static str {
-        "algebraically foldable operation"
-    }
-    fn run(&self, view: &BlockView, _opts: &LintOptions, out: &mut Vec<Diagnostic>) {
-        for i in 0..view.len() {
-            let Some(op) = view.opcode(i) else { continue };
-            let preds = view.preds(i);
-            let same_binary = preds.len() == 2 && preds[0] == preds[1];
-            let reason = match op {
-                Opcode::Sub | Opcode::Xor if same_binary => {
-                    Some(format!("{}(x, x) is always zero", op.mnemonic()))
-                }
-                Opcode::And | Opcode::Or | Opcode::Min | Opcode::Max if same_binary => {
-                    Some(format!("{}(x, x) is just x", op.mnemonic()))
-                }
-                Opcode::Eq if same_binary => Some("eq(x, x) is always true".to_string()),
-                Opcode::Not | Opcode::Neg
-                    if preds.len() == 1 && view.opcode(preds[0]) == Some(op) =>
-                {
-                    Some(format!("{0}({0}(x)) cancels out", op.mnemonic()))
-                }
-                Opcode::Abs if preds.len() == 1 && view.opcode(preds[0]) == Some(op) => {
-                    Some("abs(abs(x)) is abs(x)".to_string())
-                }
-                _ => None,
-            };
-            if let Some(reason) = reason {
-                out.push(diag(
-                    self,
-                    view,
-                    Some(i),
-                    format!("foldable operation: {reason}"),
-                ));
+fn foldable_op(block: &BasicBlock, _opts: &LintOptions, out: &mut Vec<Finding>) {
+    let dag = block.dag();
+    for (v, op) in dag.nodes() {
+        let op = op.opcode();
+        let preds = dag.preds(v);
+        let same_binary = preds.len() == 2 && preds[0] == preds[1];
+        let unary_of_self = preds.len() == 1 && block.opcode(preds[0]) == op;
+        let reason = match op {
+            Opcode::Sub | Opcode::Xor if same_binary => {
+                format!("{}(x, x) is always zero", op.mnemonic())
             }
-        }
+            Opcode::And | Opcode::Or | Opcode::Min | Opcode::Max if same_binary => {
+                format!("{}(x, x) is just x", op.mnemonic())
+            }
+            Opcode::Eq if same_binary => "eq(x, x) is always true".to_string(),
+            Opcode::Not | Opcode::Neg if unary_of_self => {
+                format!("{0}({0}(x)) cancels out", op.mnemonic())
+            }
+            Opcode::Abs if unary_of_self => "abs(abs(x)) is abs(x)".to_string(),
+            _ => continue,
+        };
+        out.push((Some(v.index()), format!("foldable operation: {reason}")));
     }
 }
 
-// ---------------------------------------------------------------------
-// A005 — combinational cycle
-// ---------------------------------------------------------------------
-
-/// A005: the operand edges contain a cycle. The whole toolchain — rank
-/// orders, reachability closures, the toggle engine's hull propagation
-/// — assumes a DAG; a cyclic block must be rejected before any of it
-/// runs.
-struct CombinationalCycle;
-
-impl Pass for CombinationalCycle {
-    fn code(&self) -> &'static str {
-        "A005"
-    }
-    fn severity(&self) -> Severity {
-        Severity::Error
-    }
-    fn summary(&self) -> &'static str {
-        "combinational cycle"
-    }
-    fn run(&self, view: &BlockView, _opts: &LintOptions, out: &mut Vec<Diagnostic>) {
-        let n = view.len();
-        // Iterative 3-color DFS over operand edges (in-range only).
-        const WHITE: u8 = 0;
-        const GRAY: u8 = 1;
-        const BLACK: u8 = 2;
-        let mut color = vec![WHITE; n];
-        let mut on_cycle = vec![false; n];
-        for root in 0..n {
-            if color[root] != WHITE {
-                continue;
-            }
-            // Stack of (node, next-pred-index).
-            let mut stack = vec![(root, 0usize)];
-            color[root] = GRAY;
-            while let Some(&(v, next)) = stack.last() {
-                let preds = view.preds(v);
-                if next >= preds.len() {
-                    color[v] = BLACK;
-                    stack.pop();
-                    continue;
-                }
-                if let Some(top) = stack.last_mut() {
-                    top.1 += 1;
-                }
-                let p = preds[next];
-                if p >= n {
-                    continue; // out-of-range: A006's finding
-                }
-                match color[p] {
-                    WHITE => {
-                        color[p] = GRAY;
-                        stack.push((p, 0));
-                    }
-                    GRAY => on_cycle[p] = true, // back edge
-                    _ => {}
-                }
-            }
-        }
-        for (i, &cyc) in on_cycle.iter().enumerate() {
-            if cyc {
-                out.push(diag(
-                    self,
-                    view,
-                    Some(i),
-                    format!("combinational cycle through n{i}"),
-                ));
-            }
+/// A006: an operand count that does not match the opcode's arity. The
+/// builder and the text parser reject such nodes; only
+/// [`BasicBlock::from_dag`] can build one.
+fn arity_mismatch(block: &BasicBlock, _opts: &LintOptions, out: &mut Vec<Finding>) {
+    let dag = block.dag();
+    for (v, op) in dag.nodes() {
+        let op = op.opcode();
+        let i = v.index();
+        let operands = dag.preds(v).len();
+        if operands != op.arity() {
+            out.push((
+                Some(i),
+                format!(
+                    "arity mismatch: {} takes {} operand(s), n{i} has {operands}",
+                    op.mnemonic(),
+                    op.arity()
+                ),
+            ));
         }
     }
 }
-
-// ---------------------------------------------------------------------
-// A006 — rank inconsistency
-// ---------------------------------------------------------------------
-
-/// A006: an operand reference that breaks the definition-before-use
-/// rank order (out of range, forward, or self), or an operand count
-/// that does not match the opcode's arity.
-struct RankInconsistency;
-
-impl Pass for RankInconsistency {
-    fn code(&self) -> &'static str {
-        "A006"
-    }
-    fn severity(&self) -> Severity {
-        Severity::Error
-    }
-    fn summary(&self) -> &'static str {
-        "rank inconsistency: out-of-range/forward operand or arity mismatch"
-    }
-    fn run(&self, view: &BlockView, _opts: &LintOptions, out: &mut Vec<Diagnostic>) {
-        let n = view.len();
-        for i in 0..n {
-            let Some(op) = view.opcode(i) else { continue };
-            let preds = view.preds(i);
-            if preds.len() != op.arity() {
-                out.push(diag(
-                    self,
-                    view,
-                    Some(i),
-                    format!(
-                        "arity mismatch: {} takes {} operand(s), n{i} has {}",
-                        op.mnemonic(),
-                        op.arity(),
-                        preds.len()
-                    ),
-                ));
-            }
-            for &p in preds {
-                if p >= n {
-                    out.push(diag(
-                        self,
-                        view,
-                        Some(i),
-                        format!(
-                            "operand reference out of range: n{i} uses n{p} (block has {n} nodes)"
-                        ),
-                    ));
-                } else if p == i {
-                    out.push(diag(
-                        self,
-                        view,
-                        Some(i),
-                        format!("self-reference: n{i} uses its own result"),
-                    ));
-                } else if p > i {
-                    out.push(diag(
-                        self,
-                        view,
-                        Some(i),
-                        format!("rank inconsistency: operand n{p} does not precede n{i}"),
-                    ));
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// A007 — I/O infeasibility pre-flight
-// ---------------------------------------------------------------------
 
 /// A007: no nonempty cut can satisfy the port budget, so the search is
 /// guaranteed to return the empty cut.
@@ -424,238 +268,106 @@ impl Pass for RankInconsistency {
 /// node has more than `N_in` distinct operands, every cut overflows.
 /// (Output feasibility never binds: a single-node cut has one output
 /// and `N_out >= 1` by construction.)
-struct IoInfeasible;
-
-impl Pass for IoInfeasible {
-    fn code(&self) -> &'static str {
-        "A007"
-    }
-    fn severity(&self) -> Severity {
-        Severity::Warning
-    }
-    fn summary(&self) -> &'static str {
-        "I/O infeasibility: no nonempty cut fits the port budget"
-    }
-    fn run(&self, view: &BlockView, opts: &LintOptions, out: &mut Vec<Diagnostic>) {
-        let mut eligible = 0usize;
-        let mut min_inputs: Option<(usize, usize)> = None; // (count, node)
-        for i in 0..view.len() {
-            if !view.opcode(i).is_some_and(Opcode::is_ise_eligible) {
-                continue;
-            }
-            eligible += 1;
-            let mut distinct = view.preds(i).to_vec();
-            distinct.sort_unstable();
-            distinct.dedup();
-            let count = distinct.len();
-            if min_inputs.is_none_or(|(best, _)| count < best) {
-                min_inputs = Some((count, i));
-            }
+fn io_infeasible(block: &BasicBlock, opts: &LintOptions, out: &mut Vec<Finding>) {
+    let dag = block.dag();
+    let mut min_inputs: Option<(usize, usize)> = None; // (count, node)
+    for (v, op) in dag.nodes() {
+        if !op.opcode().is_ise_eligible() {
+            continue;
         }
-        if eligible == 0 {
-            if !view.is_empty() {
-                out.push(diag(
-                    self,
-                    view,
-                    None,
-                    "no ISE-eligible operation: every cut is empty".to_string(),
-                ));
-            }
-            return;
+        let mut distinct = dag.preds(v).to_vec();
+        distinct.sort_unstable();
+        distinct.dedup();
+        let count = distinct.len();
+        if min_inputs.is_none_or(|(best, _)| count < best) {
+            min_inputs = Some((count, v.index()));
         }
-        let max_in = opts.io.max_inputs() as usize;
-        if let Some((count, node)) = min_inputs {
-            if count > max_in {
-                out.push(diag(
-                    self,
-                    view,
-                    Some(node),
-                    format!(
-                        "I/O infeasible: every eligible operation needs at least {count} inputs, \
-                         but the budget allows {max_in} — no nonempty cut can exist"
-                    ),
-                ));
-            }
-        }
+    }
+    let max_in = opts.io.max_inputs() as usize;
+    match min_inputs {
+        None if dag.node_count() > 0 => out.push((
+            None,
+            "no ISE-eligible operation: every cut is empty".to_string(),
+        )),
+        Some((count, node)) if count > max_in => out.push((
+            Some(node),
+            format!(
+                "I/O infeasible: every eligible operation needs at least {count} inputs, \
+                 but the budget allows {max_in} — no nonempty cut can exist"
+            ),
+        )),
+        _ => {}
     }
 }
-
-// ---------------------------------------------------------------------
-// A008 — invalid latency
-// ---------------------------------------------------------------------
-
-/// A008: an opcode used by this block has a NaN, infinite or negative
-/// hardware delay in the configured model — merit arithmetic downstream
-/// would silently produce NaN cuts.
-struct InvalidLatency;
-
-impl Pass for InvalidLatency {
-    fn code(&self) -> &'static str {
-        "A008"
-    }
-    fn severity(&self) -> Severity {
-        Severity::Error
-    }
-    fn summary(&self) -> &'static str {
-        "invalid latency: NaN/infinite/negative hardware delay"
-    }
-    fn run(&self, view: &BlockView, opts: &LintOptions, out: &mut Vec<Diagnostic>) {
-        let mut reported = [false; Opcode::ALL.len()];
-        for i in 0..view.len() {
-            let Some(op) = view.opcode(i) else { continue };
-            if reported[op.as_index()] {
-                continue;
-            }
-            let hw = opts.model.hw_delay(op);
-            if !hw.is_finite() || hw < 0.0 {
-                reported[op.as_index()] = true;
-                out.push(diag(
-                    self,
-                    view,
-                    Some(i),
-                    format!(
-                        "invalid latency: {} has hardware delay {hw} in the configured model",
-                        op.mnemonic()
-                    ),
-                ));
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// A009 — unprofitable latency
-// ---------------------------------------------------------------------
 
 /// A009: an eligible opcode whose hardware delay is at least its
 /// software cycle count (or whose software cost is zero) — including it
 /// in a cut can never reduce latency, which usually means a
 /// miscalibrated model.
-struct UnprofitableLatency;
-
-impl Pass for UnprofitableLatency {
-    fn code(&self) -> &'static str {
-        "A009"
-    }
-    fn severity(&self) -> Severity {
-        Severity::Warning
-    }
-    fn summary(&self) -> &'static str {
-        "unprofitable latency: hardware delay >= software cycles"
-    }
-    fn run(&self, view: &BlockView, opts: &LintOptions, out: &mut Vec<Diagnostic>) {
-        let mut reported = [false; Opcode::ALL.len()];
-        for i in 0..view.len() {
-            let Some(op) = view.opcode(i) else { continue };
-            if !op.is_ise_eligible() || reported[op.as_index()] {
-                continue;
-            }
-            let sw = opts.model.sw_cycles(op);
-            let hw = opts.model.hw_delay(op);
-            if sw == 0 {
-                reported[op.as_index()] = true;
-                out.push(diag(
-                    self,
-                    view,
-                    Some(i),
-                    format!(
-                        "unprofitable latency: {} costs zero software cycles",
-                        op.mnemonic()
-                    ),
-                ));
-            } else if hw.is_finite() && hw >= sw as f64 {
-                reported[op.as_index()] = true;
-                out.push(diag(
-                    self,
-                    view,
-                    Some(i),
-                    format!(
-                        "unprofitable latency: {} hardware delay {hw} >= {sw} software cycle(s)",
-                        op.mnemonic()
-                    ),
-                ));
-            }
+fn unprofitable_latency(block: &BasicBlock, opts: &LintOptions, out: &mut Vec<Finding>) {
+    let mut reported = [false; Opcode::ALL.len()];
+    for (v, op) in block.dag().nodes() {
+        let op = op.opcode();
+        if !op.is_ise_eligible() || reported[op.as_index()] {
+            continue;
         }
+        let sw = opts.model.sw_cycles(op);
+        let hw = opts.model.hw_delay(op);
+        let message = if sw == 0 {
+            format!(
+                "unprofitable latency: {} costs zero software cycles",
+                op.mnemonic()
+            )
+        } else if hw >= sw as f64 {
+            format!(
+                "unprofitable latency: {} hardware delay {hw} >= {sw} software cycle(s)",
+                op.mnemonic()
+            )
+        } else {
+            continue;
+        };
+        reported[op.as_index()] = true;
+        out.push((Some(v.index()), message));
     }
 }
-
-// ---------------------------------------------------------------------
-// A010 — suspicious frequency
-// ---------------------------------------------------------------------
 
 /// A010: a block frequency of zero (the block never runs, so every
 /// merit is zero) or above the text-IR `MAX_FREQUENCY` bound.
-struct SuspiciousFrequency;
-
-impl Pass for SuspiciousFrequency {
-    fn code(&self) -> &'static str {
-        "A010"
-    }
-    fn severity(&self) -> Severity {
-        Severity::Warning
-    }
-    fn summary(&self) -> &'static str {
-        "suspicious frequency: zero or above MAX_FREQUENCY"
-    }
-    fn run(&self, view: &BlockView, _opts: &LintOptions, out: &mut Vec<Diagnostic>) {
-        let freq = view.frequency();
-        if freq == 0 {
-            out.push(diag(
-                self,
-                view,
-                None,
-                "suspicious frequency: block never executes (frequency 0)".to_string(),
-            ));
-        } else if freq > MAX_FREQUENCY {
-            out.push(diag(
-                self,
-                view,
-                None,
-                format!("suspicious frequency: {freq} exceeds MAX_FREQUENCY ({MAX_FREQUENCY})"),
-            ));
-        }
+fn suspicious_frequency(block: &BasicBlock, _opts: &LintOptions, out: &mut Vec<Finding>) {
+    let freq = block.frequency();
+    if freq == 0 {
+        out.push((
+            None,
+            "suspicious frequency: block never executes (frequency 0)".to_string(),
+        ));
+    } else if freq > MAX_FREQUENCY {
+        out.push((
+            None,
+            format!("suspicious frequency: {freq} exceeds MAX_FREQUENCY ({MAX_FREQUENCY})"),
+        ));
     }
 }
-
-// ---------------------------------------------------------------------
-// A011 — duplicate input label
-// ---------------------------------------------------------------------
 
 /// A011: two inputs carry the same label — almost certainly the same
 /// logical value declared twice, which inflates the block's apparent
 /// input pressure.
-struct DuplicateInputLabel;
-
-impl Pass for DuplicateInputLabel {
-    fn code(&self) -> &'static str {
-        "A011"
-    }
-    fn severity(&self) -> Severity {
-        Severity::Warning
-    }
-    fn summary(&self) -> &'static str {
-        "duplicate input label"
-    }
-    fn run(&self, view: &BlockView, _opts: &LintOptions, out: &mut Vec<Diagnostic>) {
-        let mut seen: HashMap<&str, usize> = HashMap::new();
-        for i in 0..view.len() {
-            if view.opcode(i) != Some(Opcode::Input) {
-                continue;
-            }
-            let Some(label) = view.label(i) else { continue };
-            match seen.entry(label) {
-                std::collections::hash_map::Entry::Occupied(first) => {
-                    let j = *first.get();
-                    out.push(diag(
-                        self,
-                        view,
-                        Some(i),
-                        format!("duplicate input label: n{i} ({label:?}) repeats n{j}"),
-                    ));
-                }
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    slot.insert(i);
-                }
+fn duplicate_input_label(block: &BasicBlock, _opts: &LintOptions, out: &mut Vec<Finding>) {
+    let mut seen: HashMap<&str, usize> = HashMap::new();
+    for (v, op) in block.dag().nodes() {
+        let (Opcode::Input, Some(label)) = (op.opcode(), op.label()) else {
+            continue;
+        };
+        let i = v.index();
+        match seen.entry(label) {
+            Entry::Occupied(first) => out.push((
+                Some(i),
+                format!(
+                    "duplicate input label: n{i} ({label:?}) repeats n{}",
+                    first.get()
+                ),
+            )),
+            Entry::Vacant(slot) => {
+                slot.insert(i);
             }
         }
     }

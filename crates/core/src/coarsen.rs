@@ -132,16 +132,21 @@ pub struct MultilevelReport {
     pub fell_back: bool,
 }
 
-/// One coarse level: the quotient block, its context, the free mask,
-/// the per-node latency summaries, and the contraction mapping the next
-/// finer level's nodes into this one.
+/// One coarse level: the quotient block, its context (which owns the
+/// per-node latency summaries), the free mask, and the contraction
+/// mapping the next finer level's nodes into this one.
 struct Level {
     block: BasicBlock,
     data: Arc<ContextData>,
     free: NodeSet,
-    sw: Vec<u32>,
-    hw: Vec<f64>,
     contraction: Contraction,
+}
+
+impl Level {
+    /// The level's search context (an `Arc` clone of its data).
+    fn context(&self) -> BlockContext<'_> {
+        BlockContext::with_data(&self.block, Arc::clone(&self.data))
+    }
 }
 
 /// Greedy contractible matching over the free nodes of one level, in
@@ -262,16 +267,13 @@ fn match_clusters(
     )
 }
 
-/// Contracts one level into the next-coarser one, or `None` when the
-/// matching finds nothing (or shrinks the level by less than 2%, at
-/// which point further rounds are not worth their setup cost).
-fn coarsen_step(
-    block: &BasicBlock,
-    free: &NodeSet,
-    sw: &[u32],
-    hw: &[f64],
-    reach: &isegen_graph::Reachability,
-) -> Option<Level> {
+/// Contracts one level (its context and free set) into the
+/// next-coarser one, or `None` when the matching finds nothing (or
+/// shrinks the level by less than 2%, at which point further rounds are
+/// not worth their setup cost).
+fn coarsen_step(ctx: &BlockContext<'_>, free: &NodeSet) -> Option<Level> {
+    let block = ctx.block();
+    let reach = ctx.reach();
     let dag = block.dag();
     let n = dag.node_count();
     // Path-free pairs are only pairwise-safe; when their joint quotient
@@ -309,15 +311,11 @@ fn coarsen_step(
     let mut chw = vec![0f64; k];
     for c in 0..k {
         for &m in contraction.members(NodeId::from_index(c)) {
-            csw[c] += sw[m.index()];
-            chw[c] += hw[m.index()];
+            csw[c] += ctx.sw_cycles(m);
+            chw[c] += ctx.hw_delay(m);
         }
     }
-    let data = Arc::new(ContextData::compute_with_latencies(
-        &coarse_block,
-        csw.clone(),
-        chw.clone(),
-    ));
+    let data = Arc::new(ContextData::compute_with_latencies(&coarse_block, csw, chw));
 
     // Only free nodes merge, so a cluster is free iff its members are.
     let mut cfree = NodeSet::new(k);
@@ -332,8 +330,6 @@ fn coarsen_step(
         block: coarse_block,
         data,
         free: cfree,
-        sw: csw,
-        hw: chw,
         contraction,
     })
 }
@@ -341,36 +337,13 @@ fn coarsen_step(
 /// Builds the coarsening hierarchy bottom-up until the free set fits
 /// the coarsening target, [`MAX_LEVELS`] is hit, or matching stalls.
 fn build_hierarchy(ctx: &BlockContext<'_>, free: &NodeSet, ml: &MultilevelConfig) -> Vec<Level> {
-    let n0 = ctx.node_count();
-    let sw0: Vec<u32> = (0..n0)
-        .map(|i| ctx.sw_cycles(NodeId::from_index(i)))
-        .collect();
-    let hw0: Vec<f64> = (0..n0)
-        .map(|i| ctx.hw_delay(NodeId::from_index(i)))
-        .collect();
     let mut levels: Vec<Level> = Vec::new();
     while levels.len() < MAX_LEVELS {
-        let next = {
-            let (block, cfree, sw, hw, reach) = match levels.last() {
-                None => (
-                    ctx.block(),
-                    free,
-                    sw0.as_slice(),
-                    hw0.as_slice(),
-                    ctx.reach(),
-                ),
-                Some(l) => (
-                    &l.block,
-                    &l.free,
-                    l.sw.as_slice(),
-                    l.hw.as_slice(),
-                    l.data.reach(),
-                ),
-            };
-            if cfree.len() <= ml.min_coarse_ops {
-                break;
-            }
-            coarsen_step(block, cfree, sw, hw, reach)
+        let next = match levels.last() {
+            None if free.len() <= ml.min_coarse_ops => break,
+            None => coarsen_step(ctx, free),
+            Some(l) if l.free.len() <= ml.min_coarse_ops => break,
+            Some(l) => coarsen_step(&l.context(), &l.free),
         };
         match next {
             Some(level) => levels.push(level),
@@ -489,7 +462,7 @@ pub(crate) fn multilevel_search(
             config.clone()
         };
         let t = Instant::now();
-        let tctx = BlockContext::with_data(&top.block, Arc::clone(&top.data));
+        let tctx = top.context();
         let (coarse_cut, s) =
             portfolio_search(&tctx, io, &coarse_config, &top.free, threads, pool, None);
         stats.absorb(s);
@@ -516,8 +489,7 @@ pub(crate) fn multilevel_search(
                 refine_level(ctx, free, &seed, &knobs, pool)
             } else {
                 let finer = &levels[i - 1];
-                let fctx = BlockContext::with_data(&finer.block, Arc::clone(&finer.data));
-                refine_level(&fctx, &finer.free, &seed, &knobs, pool)
+                refine_level(&finer.context(), &finer.free, &seed, &knobs, pool)
             };
             stats.absorb(s);
             level_reports.push(lr);
@@ -570,7 +542,7 @@ pub fn roundtrip_audit(
     let config = SearchConfig::default().with_restarts(1).with_max_passes(2);
     let mut pool = Vec::new();
     for (idx, level) in levels.iter().enumerate() {
-        let lctx = BlockContext::with_data(&level.block, Arc::clone(&level.data));
+        let lctx = level.context();
         let (cut, _) = portfolio_search(&lctx, io, &config, &level.free, 1, &mut pool, None);
         if cut.is_empty() {
             continue;

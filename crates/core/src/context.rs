@@ -27,13 +27,6 @@ impl ContextData {
         self.sw.len()
     }
 
-    /// The transitive closure (for in-crate consumers holding only the
-    /// data, e.g. the coarsening pass matching over quotient levels).
-    #[inline]
-    pub(crate) fn reach(&self) -> &Reachability {
-        &self.reach
-    }
-
     /// Precomputes search state for `block` under `model`.
     pub fn compute(block: &BasicBlock, model: &LatencyModel) -> Self {
         let dag = block.dag();

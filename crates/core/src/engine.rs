@@ -67,9 +67,7 @@ pub struct ToggleEngine<'c, 'a> {
     order_scratch_b: Vec<NodeId>,
     queue_scratch: Vec<NodeId>,
     // Commit-delta capture for precision cache invalidation
-    // (`toggle_and_mark`): populated by entering refreshes only while
-    // `track_deltas` is set, so plain `toggle` pays one branch.
-    track_deltas: bool,
+    // (`toggle_and_mark`): populated by every entering refresh.
     hull_delta_below: Vec<(usize, u64)>,
     hull_delta_above: Vec<(usize, u64)>,
     changed_up: Vec<NodeId>,
@@ -228,7 +226,6 @@ impl<'c, 'a> ToggleEngine<'c, 'a> {
             order_scratch: arena.order_scratch,
             order_scratch_b: arena.order_scratch_b,
             queue_scratch: arena.queue_scratch,
-            track_deltas: false,
             hull_delta_below: arena.hull_delta_below,
             hull_delta_above: arena.hull_delta_above,
             changed_up: arena.changed_up,
@@ -287,7 +284,6 @@ impl<'c, 'a> ToggleEngine<'c, 'a> {
         self.order_scratch.clear();
         self.order_scratch_b.clear();
         self.queue_scratch.clear();
-        self.track_deltas = false;
         self.hull_delta_below.clear();
         self.hull_delta_above.clear();
         self.changed_up.clear();
@@ -534,9 +530,7 @@ impl<'c, 'a> ToggleEngine<'c, 'a> {
     pub(crate) fn toggle_and_mark(&mut self, v: NodeId, full: &mut NodeSet, hull: &mut HullMarks) {
         let was_below_ext = self.below_ext.contains(v);
         let was_above_ext = self.above_ext.contains(v);
-        self.track_deltas = true;
         let entering = self.toggle(v);
-        self.track_deltas = false;
 
         let reach = self.ctx.reach();
         let dag = self.ctx.block().dag();
@@ -948,32 +942,30 @@ impl<'c, 'a> ToggleEngine<'c, 'a> {
     fn refresh_entering(&mut self, v: NodeId) {
         let ctx = self.ctx;
         let reach = ctx.reach();
-        if self.track_deltas {
-            // Word-zip capture of the bits `v`'s cones are about to add
-            // to the hull masks — the *exact* growth of `below`/`above`,
-            // from which `toggle_and_mark` derives its invalidation set.
-            self.hull_delta_below.clear();
-            {
-                let below = &self.below;
-                let delta = &mut self.hull_delta_below;
-                reach.descendants(v).for_each_word(|wi, w| {
-                    let added = w & !below.word(wi);
-                    if added != 0 {
-                        delta.push((wi, added));
-                    }
-                });
-            }
-            self.hull_delta_above.clear();
-            {
-                let above = &self.above;
-                let delta = &mut self.hull_delta_above;
-                reach.ancestors(v).for_each_word(|wi, w| {
-                    let added = w & !above.word(wi);
-                    if added != 0 {
-                        delta.push((wi, added));
-                    }
-                });
-            }
+        // Word-zip capture of the bits `v`'s cones are about to add
+        // to the hull masks — the *exact* growth of `below`/`above`,
+        // from which `toggle_and_mark` derives its invalidation set.
+        self.hull_delta_below.clear();
+        {
+            let below = &self.below;
+            let delta = &mut self.hull_delta_below;
+            reach.descendants(v).for_each_word(|wi, w| {
+                let added = w & !below.word(wi);
+                if added != 0 {
+                    delta.push((wi, added));
+                }
+            });
+        }
+        self.hull_delta_above.clear();
+        {
+            let above = &self.above;
+            let delta = &mut self.hull_delta_above;
+            reach.ancestors(v).for_each_word(|wi, w| {
+                let added = w & !above.word(wi);
+                if added != 0 {
+                    delta.push((wi, added));
+                }
+            });
         }
         self.below.union_with(reach.descendants(v));
         self.above.union_with(reach.ancestors(v));

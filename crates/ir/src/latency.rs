@@ -103,16 +103,6 @@ impl LatencyModel {
         self.hw[op.as_index()] = delay;
         self
     }
-
-    /// Like [`LatencyModel::with_hw_delay`], but without the validity
-    /// assertion — so tests of *defensive* consumers (the `A008` lint,
-    /// NaN-hardened comparisons) can construct the invalid models those
-    /// code paths exist to catch. Test scaffolding, not API.
-    #[doc(hidden)]
-    pub fn with_raw_hw_delay_for_test(mut self, op: Opcode, delay: f64) -> Self {
-        self.hw[op.as_index()] = delay;
-        self
-    }
 }
 
 impl Default for LatencyModel {

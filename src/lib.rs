@@ -22,7 +22,7 @@
 //! * [`serve`] — `ised`, the long-lived service front-end: text IR in,
 //!   selections and Verilog out, with per-block context caching.
 //! * [`analysis`] — static analysis: the IR lint registry (`A001`..)
-//!   and the hostile-input [`BlockView`](analysis::BlockView) substrate.
+//!   over validated blocks.
 //!
 //! # Quickstart
 //!
