@@ -117,6 +117,10 @@ pub struct CacheStats {
     /// entries whose cached witness entered the cut. They are neither
     /// fresh nor cached probes.
     pub hull_retests: u64,
+    /// K-L passes ended early because their permanent I/O floor
+    /// ([`crate::IoFloor`]) exceeded the port budget: every later state
+    /// of the pass was provably illegal.
+    pub floor_stops: u64,
     /// Invariant audits executed (zero unless audit mode is on —
     /// `tests/audit_mode.rs` pins this to prove the disabled path does
     /// no audit work).
@@ -162,6 +166,7 @@ impl CacheStats {
         self.queue_pops += other.queue_pops;
         self.queue_reinsertions += other.queue_reinsertions;
         self.hull_retests += other.hull_retests;
+        self.floor_stops += other.floor_stops;
         self.audit_checks += other.audit_checks;
     }
 }
@@ -621,6 +626,7 @@ mod tests {
             queue_pops: 4,
             queue_reinsertions: 2,
             hull_retests: 7,
+            floor_stops: 1,
             audit_checks: 1,
         };
         let b = CacheStats {
@@ -633,6 +639,7 @@ mod tests {
             queue_pops: 6,
             queue_reinsertions: 3,
             hull_retests: 5,
+            floor_stops: 2,
             audit_checks: 1,
         };
         a.absorb(b);
@@ -645,6 +652,7 @@ mod tests {
         assert_eq!(a.queue_pops, 10);
         assert_eq!(a.queue_reinsertions, 5);
         assert_eq!(a.hull_retests, 12);
+        assert_eq!(a.floor_stops, 3);
         assert_eq!(a.audit_checks, 2);
         assert!((a.avoided_fraction() - 0.5).abs() < 1e-12);
         assert_eq!(CacheStats::default().avoided_fraction(), 0.0);

@@ -4,7 +4,7 @@ use crate::driver::CutFinder;
 use crate::engine::EngineArena;
 use crate::gain::gain_of;
 use crate::keyheap::{Frontier, KeyHeap};
-use crate::{BlockContext, Cut, GainWeights, IoConstraints, ToggleEngine};
+use crate::{BlockContext, Cut, GainWeights, IoConstraints, IoFloor, ToggleEngine};
 use isegen_graph::{NodeId, NodeSet};
 
 /// Knobs of the modified Kernighan–Lin search (paper Fig. 2).
@@ -141,6 +141,9 @@ pub struct SearchScratch {
     start_cut: NodeSet,
     /// Free leaving candidates of the pass (pass-start cut ∩ free).
     leave_list: Vec<NodeId>,
+    /// The pass's permanent I/O floor; the pass ends once it exceeds
+    /// the budget.
+    floor: IoFloor,
     warm: bool,
 }
 
@@ -647,6 +650,15 @@ where
 /// diversification). All working state lives in `scratch`; the only
 /// allocations are the returned [`Cut`] snapshots.
 ///
+/// A pass ends early once its permanent I/O floor ([`IoFloor`]) exceeds
+/// `io`: the committed entering nodes stay in the cut for the rest of
+/// the pass, so no later state of the pass can be legal and the pass
+/// best is already final. On 2k-op blocks almost every pass crosses
+/// the floor within a few dozen commits, so this skips nearly all of
+/// the paper's toggle-every-free-node sweep without changing any cut,
+/// merit or later pass ([`CacheStats::floor_stops`] counts the passes
+/// it ended).
+///
 /// The sweep is served by a [`GainCache`]: after each committed toggle
 /// only the commit's full class is re-probed, and its hull-only class
 /// is settled in place; every other gain is recombined from cached
@@ -676,13 +688,12 @@ where
 ///   above, where the slack covers the two hinge nonlinearities
 ///   ([`HingeSlack`]): it is exactly zero once the cut is deep enough
 ///   in violation and the hardware path has passed the tallest
-///   candidate, i.e. on almost every step of a pass. Selection walks
-///   the heap trees best-first, evaluates each visited slot's exact
-///   cached gain, and stops once no frontier root's bound can beat the
-///   incumbent: a child's key never exceeds its parent's and the bound
-///   rises with the key, so that prunes exactly the subtrees that
-///   cannot win. Nothing is popped; the heaps change only on re-keys
-///   and commits.
+///   candidate. Selection walks the heap trees best-first, evaluates
+///   each visited slot's exact cached gain, and stops once no frontier
+///   root's bound can beat the incumbent: a child's key never exceeds
+///   its parent's and the bound rises with the key, so that prunes
+///   exactly the subtrees that cannot win. Nothing is popped; the heaps
+///   change only on re-keys and commits.
 /// * **Gate-split heaps.** The entering convexity gate depends only on
 ///   (#violators clamped to 2, the sole violator's id), and it affects
 ///   a gain in exactly one way: the merit term is zeroed when the gate
@@ -694,10 +705,11 @@ where
 ///   evaluation of the violator itself outside the heaps. A
 ///   violator-set flip switches regimes; it never rebuilds anything.
 ///
-/// The result is toggle-for-toggle identical to the literal scan, ties
-/// to the lowest node id included — `tests/queue_parity.rs` checks
-/// every commit against an independent scan oracle. A commit costs
-/// O(dirty · log n) for the in-place re-keys plus O(visited · log
+/// Each pass is toggle-for-toggle a prefix of the literal scan's pass,
+/// ties to the lowest node id included, with the same best cut and
+/// merit — `tests/queue_parity.rs` checks every commit against an
+/// independent scan oracle that runs every pass to the end. A commit
+/// costs O(dirty · log n) for the in-place re-keys plus O(visited · log
 /// visited) for the walk, instead of O(free) probes.
 fn run_trajectory(
     ctx: &BlockContext<'_>,
@@ -706,7 +718,7 @@ fn run_trajectory(
     free_nodes: &[NodeId],
     spec: &TrajectorySpec<'_>,
     scratch: &mut SearchScratch,
-    mut trace: Option<&mut Vec<NodeId>>,
+    mut trace: Option<&mut Vec<Vec<NodeId>>>,
 ) -> (Cut, CacheStats) {
     let n = ctx.node_count();
     let config = spec.config;
@@ -753,6 +765,7 @@ fn run_trajectory(
     let touched = &mut scratch.touched;
     let start_cut = &mut scratch.start_cut;
     let leave_list = &mut scratch.leave_list;
+    let floor = &mut scratch.floor;
 
     // Invariant-audit cadence; the disabled path is one integer compare
     // per commit.
@@ -765,6 +778,10 @@ fn run_trajectory(
         }
         cache.reset(n);
         marked.reset(n);
+        floor.reset(n);
+        if let Some(t) = trace.as_deref_mut() {
+            t.push(Vec::new());
+        }
         // Scalars of the pass-best snapshot; the nodes live in
         // `best_nodes` (copied, not allocated, on each improvement).
         let mut pass_best: Option<(u32, u32, u64, f64)> = None;
@@ -874,8 +891,8 @@ fn run_trajectory(
                 chosen = best.map(|(_, v)| v);
             }
             let Some(v) = chosen else { break };
-            if let Some(t) = trace.as_deref_mut() {
-                t.push(v);
+            if let Some(pass_trace) = trace.as_deref_mut().and_then(|t| t.last_mut()) {
+                pass_trace.push(v);
             }
             cache.commit_tracked(&mut engine, v, touched);
             marked.insert(v);
@@ -901,9 +918,20 @@ fn run_trajectory(
                     stats.queue_reinsertions += 1;
                 }
             });
+            floor.commit(ctx, free, start_cut, v);
             commits_done += 1;
             if audit_every != 0 && commits_done.is_multiple_of(audit_every) {
                 let mut divergences = engine.audit_divergences();
+                if floor.inputs() > engine.input_count() || floor.outputs() > engine.output_count()
+                {
+                    divergences.push(format!(
+                        "I/O floor ({}, {}) exceeds the cut's I/O ({}, {})",
+                        floor.inputs(),
+                        floor.outputs(),
+                        engine.input_count(),
+                        engine.output_count()
+                    ));
+                }
                 divergences.extend(cache.audit_divergences(&engine));
                 divergences.extend(audit_queue(
                     ctx,
@@ -939,6 +967,12 @@ fn run_trajectory(
                     ));
                 }
             }
+            // No later state of this pass can be legal: the pass best
+            // is final.
+            if floor.exceeds(io) {
+                stats.floor_stops += 1;
+                break;
+            }
         }
 
         stats.absorb(cache.stats());
@@ -955,16 +989,17 @@ fn run_trajectory(
 }
 
 /// Runs a single trajectory with the given flavour weights and no
-/// restart seed, returning the exact sequence of committed toggles —
-/// the observable `tests/queue_parity.rs` checks against an independent
-/// scan oracle. Hidden: test scaffolding, not API.
+/// restart seed, returning the exact sequence of committed toggles of
+/// each pass and the trajectory's best cut — the observables
+/// `tests/queue_parity.rs` checks against an independent scan oracle.
+/// Hidden: test scaffolding, not API.
 #[doc(hidden)]
 pub fn trajectory_commit_trace(
     ctx: &BlockContext<'_>,
     io: IoConstraints,
     config: &SearchConfig,
     forbidden: Option<&NodeSet>,
-) -> Vec<NodeId> {
+) -> (Vec<Vec<NodeId>>, Cut) {
     let mut trace = Vec::new();
     let mut free = ctx.eligible().clone();
     if let Some(f) = forbidden {
@@ -978,7 +1013,7 @@ pub fn trajectory_commit_trace(
         start: None,
     };
     let mut scratch = SearchScratch::new();
-    let _ = run_trajectory(
+    let (cut, _) = run_trajectory(
         ctx,
         io,
         &free,
@@ -987,7 +1022,7 @@ pub fn trajectory_commit_trace(
         &mut scratch,
         Some(&mut trace),
     );
-    trace
+    (trace, cut)
 }
 
 /// Picks up to `restarts − 1` forced first moves, spread across the

@@ -24,8 +24,9 @@
 //!   served by [`GainCache`]: a dirty-set probe cache that re-evaluates
 //!   only the candidates a committed toggle could have changed, and
 //!   addressable max-gain heaps that replace the per-commit full
-//!   scan ([`SearchOutcome`] exposes the probes-avoided and queue
-//!   counters).
+//!   scan; each pass ends as soon as its permanent I/O floor is over
+//!   the port budget ([`SearchOutcome`] exposes the probes-avoided,
+//!   queue and floor-stop counters).
 //! * [`Generator`] — the whole-application driver (Problem 2): block
 //!   ranking by speedup potential, up to `N_ISE` successive
 //!   bi-partitions, optional reuse of each ISE across all its isomorphic
@@ -68,6 +69,7 @@ mod context;
 mod cut;
 mod driver;
 mod engine;
+mod floor;
 mod gain;
 mod keyheap;
 mod kl;
@@ -83,6 +85,8 @@ pub use context::{BlockContext, ContextData};
 pub use cut::Cut;
 pub use driver::{CutFinder, Generator, Ise, IseConfig, IseInstance, IseSelection};
 pub use engine::{Probe, ToggleEngine};
+#[doc(hidden)]
+pub use floor::IoFloor;
 pub use gain::{GainWeights, WeightsError};
 #[doc(hidden)]
 pub use kl::trajectory_commit_trace;

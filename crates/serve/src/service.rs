@@ -451,6 +451,7 @@ impl Service {
                     ("queue_pops", s.queue_pops.into()),
                     ("queue_reinsertions", s.queue_reinsertions.into()),
                     ("hull_retests", s.hull_retests.into()),
+                    ("floor_stops", s.floor_stops.into()),
                     ("trajectories", s.trajectories.into()),
                     ("arena_reuses", s.arena_reuses.into()),
                     ("arena_allocs", s.arena_allocs.into()),

@@ -1,15 +1,17 @@
-//! The max-gain selection queue must be a pure wall-clock
-//! optimisation: the production search must commit the **same toggles
-//! in the same order** as the paper's literal inner loop, so cuts,
-//! merits and selections are bit-identical.
+//! The max-gain selection queue and the permanent I/O floor must be
+//! pure wall-clock optimisations: each production pass must commit the
+//! **same toggles in the same order** as the paper's literal inner loop
+//! until the floor ends it, so cuts, merits and selections are
+//! bit-identical.
 //!
 //! The literal loop lives here, as an independent oracle
 //! ([`scan_oracle`]): every step re-probes every unmarked candidate
 //! from scratch ([`ToggleEngine::probe`] + [`GainWeights::combine`]),
 //! commits the strict maximum with ties to the lowest node id, and runs
-//! the same Fig. 2 pass structure. Production commit traces
-//! (`trajectory_commit_trace`) and full-search cuts are checked against
-//! it.
+//! the same Fig. 2 pass structure with every pass toggling every free
+//! node. Each production pass (`trajectory_commit_trace`) must be a
+//! prefix of the matching oracle pass, and the trajectory's best cut
+//! and merit, and full-search cuts, must equal the oracle's.
 
 use isegen::core::{
     trajectory_commit_trace, BlockContext, GainWeights, IoConstraints, Search, SearchConfig,
@@ -85,7 +87,9 @@ fn scan_oracle(
     run
 }
 
-/// The production commit trace under `weights` must equal the oracle's.
+/// Under `weights`, each production pass must be a prefix of the
+/// matching oracle pass, with as many passes and the same best cut and
+/// merit bits.
 fn assert_trace_matches(
     ctx: &BlockContext<'_>,
     io: IoConstraints,
@@ -95,10 +99,31 @@ fn assert_trace_matches(
 ) -> OracleRun {
     let config = SearchConfig::default().with_weights(weights);
     let oracle = scan_oracle(ctx, io, &weights, config.max_passes, forbidden);
+    let (passes, cut) = trajectory_commit_trace(ctx, io, &config, forbidden);
+    // Every oracle pass toggles every free node once; with no free node
+    // it runs one empty pass.
+    let free = ctx.eligible().len() - forbidden.map_or(0, |f| f.intersection_len(ctx.eligible()));
+    let oracle_passes: Vec<&[NodeId]> = if free == 0 {
+        vec![&[]]
+    } else {
+        oracle.trace.chunks(free).collect()
+    };
     assert_eq!(
-        trajectory_commit_trace(ctx, io, &config, forbidden),
-        oracle.trace,
-        "{label}: production committed a different toggle sequence"
+        passes.len(),
+        oracle_passes.len(),
+        "{label}: production ran a different number of passes"
+    );
+    for (i, (pass, want)) in passes.iter().zip(&oracle_passes).enumerate() {
+        assert!(
+            want.starts_with(pass),
+            "{label}: pass {i} committed a different toggle sequence"
+        );
+    }
+    assert_eq!(cut.nodes(), &oracle.best, "{label}: different best cut");
+    assert_eq!(
+        cut.merit().to_bits(),
+        oracle.merit.to_bits(),
+        "{label}: different best merit"
     );
     oracle
 }
@@ -205,7 +230,7 @@ proptest! {
 }
 
 /// The full-round AES-128 kernel: the largest registry workload the
-/// queue is benchmarked on.
+/// queue and the floor are benchmarked on.
 #[test]
 fn queue_matches_scan_on_aes128() {
     let spec = workload_by_name("aes128").expect("aes128 in registry");
@@ -230,6 +255,12 @@ fn queue_matches_scan_on_aes128() {
     assert!(
         outcome.stats.queue_reinsertions > 0,
         "dirty-set reinsertion never ran: {:?}",
+        outcome.stats
+    );
+    // And so must the permanent I/O floor.
+    assert!(
+        outcome.stats.floor_stops > 0,
+        "no pass ended at its I/O floor: {:?}",
         outcome.stats
     );
 }
