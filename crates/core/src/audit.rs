@@ -2,8 +2,8 @@
 //!
 //! The K-L inner loop lives or dies by its incremental bookkeeping: the
 //! [`crate::ToggleEngine`]'s incidence sets and hull masks, the
-//! [`crate::GainCache`]'s recombined probes, and the selection queue's
-//! addressable heaps (heap property, `pos` map, membership and keys).
+//! [`crate::GainCache`]'s recombined probes, and the pass's permanent
+//! I/O floor ([`crate::IoFloor`], never above the cut's own counts).
 //! Audit mode re-derives all of it from scratch at a configurable
 //! commit cadence and fails loudly — with a structured [`AuditReport`]
 //! naming every diverging field — the moment the incremental state

@@ -63,18 +63,6 @@ struct Entry {
     hull_witness: Option<NodeId>,
 }
 
-impl Entry {
-    fn entering_terms(&self) -> EnteringTerms {
-        EnteringTerms {
-            di: self.di,
-            dout: self.dout,
-            neighbors_in_cut: self.neighbors_in_cut,
-            local_convex: self.local_convex,
-            through: self.through,
-        }
-    }
-}
-
 const CLEAN_SLATE: Entry = Entry {
     entering: true,
     di: 0,
@@ -103,15 +91,11 @@ pub struct CacheStats {
     /// Trajectory setups that had to build their arena buffers fresh
     /// (at most one per portfolio worker per process in steady state).
     pub arena_allocs: u64,
-    /// Heap slots visited by the selection walk. Every visited slot but
-    /// a skipped sole violator costs one exact cached-gain evaluation,
-    /// so the queue's win condition is this staying ≪
-    /// candidates-per-commit.
+    /// Candidates whose exact gain the selection scan evaluated: every
+    /// unmarked free node once per unforced step. Each evaluation is one
+    /// probe, fresh or cached, so this equals `fresh_probes +
+    /// cached_probes`.
     pub queue_pops: u64,
-    /// Re-keys after commits: one per unmarked entering candidate in a
-    /// commit's `touched` set ([`GainCache::commit_tracked`]) — its
-    /// full-class delta plus the nodes whose cached hull bit flipped.
-    pub queue_reinsertions: u64,
     /// Hull-only re-tests after commits: one per hull-witness search in
     /// [`GainCache::commit_tracked`]'s hull-shrink loop — the clean
     /// entries whose cached witness entered the cut. They are neither
@@ -125,23 +109,6 @@ pub struct CacheStats {
     /// `tests/audit_mode.rs` pins this to prove the disabled path does
     /// no audit work).
     pub audit_checks: u64,
-}
-
-/// The cached per-node gain terms of an entering candidate, as returned
-/// by [`GainCache::entering_terms`] — the raw material of the
-/// selection queue's frame-free heap keys.
-#[derive(Debug, Clone, Copy)]
-pub struct EnteringTerms {
-    /// ΔI: input count after the toggle minus the current input count.
-    pub di: i32,
-    /// ΔO: likewise for outputs.
-    pub dout: i32,
-    /// Distinct neighbours currently in the cut (`N(v, C)`).
-    pub neighbors_in_cut: u32,
-    /// Cone-local half of the entering-convexity test.
-    pub local_convex: bool,
-    /// Longest hardware path through the candidate.
-    pub through: f64,
 }
 
 impl CacheStats {
@@ -164,7 +131,6 @@ impl CacheStats {
         self.arena_reuses += other.arena_reuses;
         self.arena_allocs += other.arena_allocs;
         self.queue_pops += other.queue_pops;
-        self.queue_reinsertions += other.queue_reinsertions;
         self.hull_retests += other.hull_retests;
         self.floor_stops += other.floor_stops;
         self.audit_checks += other.audit_checks;
@@ -227,25 +193,14 @@ impl GainCache {
     /// hull bit of the clean entries it reaches with no probe, hull
     /// shrink re-tests just the hull term of the clean entries whose
     /// bit was clear and whose witness has entered the cut.
-    ///
-    /// `touched` (reset to the cache's capacity first) receives the
-    /// full-class delta plus the nodes whose cached hull bit actually
-    /// flipped — exactly the nodes whose cached terms may differ, so
-    /// the selection queue re-keys those and no others. Returns `true`
-    /// when the node entered the cut.
-    pub fn commit_tracked(
-        &mut self,
-        engine: &mut ToggleEngine<'_, '_>,
-        v: NodeId,
-        touched: &mut NodeSet,
-    ) -> bool {
+    pub fn commit_tracked(&mut self, engine: &mut ToggleEngine<'_, '_>, v: NodeId) {
         self.stats.commits += 1;
-        let n = self.entries.len();
-        touched.reset(n);
-        self.hull.reset(n);
-        engine.toggle_and_mark(v, touched, &mut self.hull);
-        self.dirty.union_with(touched);
-        self.hull_ok.subtract(touched);
+        self.hull.reset(self.entries.len());
+        // The full class is marked straight into the dirty set. `hull_ok`
+        // holds only clean entries, so dropping every dirty bit from it
+        // drops exactly the newly dirtied ones.
+        engine.toggle_and_mark(v, &mut self.dirty, &mut self.hull);
+        self.hull_ok.subtract(&self.dirty);
 
         // Hull growth: `hull_ok` holds only clean entering entries, so
         // its overlap with the growth cones is exactly the set of bits
@@ -257,7 +212,6 @@ impl GainCache {
                 entries[u].local_convex = false;
                 hull_ok.remove(NodeId::from_index(u));
             });
-            touched.union_word(wi, flips);
         });
 
         // Hull shrink: clean entering entries (outside the cut) whose
@@ -281,9 +235,7 @@ impl GainCache {
                 }
             });
             hull_ok.union_word(wi, flips);
-            touched.union_word(wi, flips);
         });
-        engine.cut().contains(v)
     }
 
     /// The probe of `v` against the engine's current cut: recombined
@@ -350,31 +302,6 @@ impl GainCache {
     ) -> f64 {
         let probe = self.probe(engine, v);
         weights.combine(engine.ctx(), io, v, &probe)
-    }
-
-    /// The cached per-node terms of an **entering** node's gain —
-    /// everything in the recombination that is *not* a global engine
-    /// count or latency — refreshed from a live probe first if `v` is
-    /// dirty. The selection queue builds its frame-free heap keys
-    /// from these: together with the per-step global offsets they bound
-    /// the exact [`GainCache::gain`] from above.
-    pub fn entering_terms(&mut self, engine: &ToggleEngine<'_, '_>, v: NodeId) -> EnteringTerms {
-        if self.dirty.contains(v) {
-            let _ = self.probe(engine, v);
-        } else {
-            self.stats.cached_probes += 1;
-        }
-        let e = self.entries[v.index()];
-        debug_assert!(e.entering, "key terms are entering-only");
-        e.entering_terms()
-    }
-
-    /// The cached [`EnteringTerms`] of `v` without probing or counting:
-    /// `None` when `v` is dirty or cached as a leaving candidate. Audit
-    /// mode checks the selection queue's keys against these.
-    pub(crate) fn cached_entering_terms(&self, v: NodeId) -> Option<EnteringTerms> {
-        let e = &self.entries[v.index()];
-        (e.entering && !self.dirty.contains(v)).then(|| e.entering_terms())
     }
 
     /// Probe-count statistics accumulated so far.
@@ -508,7 +435,7 @@ fn for_each_bit(wi: usize, mut bits: u64, mut f: impl FnMut(usize)) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::tests::{local_terms, shrink_block, wide_block};
+    use crate::engine::tests::{shrink_block, wide_block};
     use crate::BlockContext;
     use isegen_ir::{BasicBlock, BlockBuilder, LatencyModel, Opcode};
 
@@ -527,13 +454,12 @@ mod tests {
 
         let mut engine = ToggleEngine::new(&ctx);
         let mut cache = GainCache::new(n);
-        let mut touched = NodeSet::new(n);
         for &v in &[m1, add, m2, m1, m2] {
             // Warm the cache, commit, then require cached ≡ fresh.
             for &u in &nodes {
                 let _ = cache.probe(&engine, u);
             }
-            cache.commit_tracked(&mut engine, v, &mut touched);
+            cache.commit_tracked(&mut engine, v);
             for &u in &nodes {
                 let cached = cache.probe(&engine, u);
                 let fresh = engine.probe(u);
@@ -545,41 +471,20 @@ mod tests {
         assert_eq!(stats.commits, 5);
     }
 
-    /// `touched` is exactly the full class of the commit plus the nodes
-    /// whose hull bit flipped — every hull-only mark that reaches the
-    /// selection queue is a real change, and every change reaches it.
-    /// A twin engine replays the toggles through
-    /// `ToggleEngine::toggle_and_mark` to expose the full class.
-    /// Returns the cache's `hull_retests` count over the toggles.
-    fn check_touched_is_full_plus_hull_flips(block: &BasicBlock, toggles: &[NodeId]) -> u64 {
+    /// Every clean entry stays exact through `toggles` — the hull-only
+    /// class settled in place included — and every cached probe equals
+    /// a fresh one. Returns the cache's `hull_retests` count.
+    fn check_commits_keep_entries_exact(block: &BasicBlock, toggles: &[NodeId]) -> u64 {
         let model = LatencyModel::paper_default();
         let ctx = BlockContext::new(block, &model);
-        let n = ctx.node_count();
         let nodes: Vec<_> = block.dag().node_ids().collect();
         let mut engine = ToggleEngine::new(&ctx);
-        let mut twin = ToggleEngine::new(&ctx);
-        let mut cache = GainCache::new(n);
-        let mut touched = NodeSet::new(n);
-        let mut full = NodeSet::new(n);
-        let mut hull = HullMarks::default();
+        let mut cache = GainCache::new(ctx.node_count());
         for &v in toggles {
             for &u in &nodes {
                 let _ = cache.probe(&engine, u);
             }
-            let before: Vec<_> = nodes.iter().map(|&u| local_terms(&engine, u).0).collect();
-            cache.commit_tracked(&mut engine, v, &mut touched);
-            full.reset(n);
-            hull.reset(n);
-            twin.toggle_and_mark(v, &mut full, &mut hull);
-            for (&u, hull_before) in nodes.iter().zip(&before) {
-                let flipped = !full.contains(u) && local_terms(&engine, u).0 != *hull_before;
-                assert_eq!(
-                    touched.contains(u),
-                    full.contains(u) || flipped,
-                    "touched disagrees at {u} after toggling {v} (full: {}, hull flip: {flipped})",
-                    full.contains(u)
-                );
-            }
+            cache.commit_tracked(&mut engine, v);
             assert_eq!(cache.audit_divergences(&engine), Vec::<String>::new());
             for &u in &nodes {
                 assert_eq!(cache.probe(&engine, u), engine.probe(u), "probe of {u}");
@@ -589,18 +494,18 @@ mod tests {
     }
 
     #[test]
-    fn touched_is_the_full_class_plus_hull_flips() {
+    fn commits_keep_clean_entries_exact() {
         let mut b = BlockBuilder::new("dot");
         let (a, b_, c, d) = (b.input("a"), b.input("b"), b.input("c"), b.input("d"));
         let m1 = b.op(Opcode::Mul, &[a, b_]).unwrap();
         let m2 = b.op(Opcode::Mul, &[c, d]).unwrap();
         let add = b.op(Opcode::Add, &[m1, m2]).unwrap();
         let block = b.build().unwrap();
-        check_touched_is_full_plus_hull_flips(&block, &[m1, add, m2, m1, m2, add]);
+        check_commits_keep_entries_exact(&block, &[m1, add, m2, m1, m2, add]);
 
         let (block, toggles) = shrink_block();
         assert!(
-            check_touched_is_full_plus_hull_flips(&block, &toggles) > 0,
+            check_commits_keep_entries_exact(&block, &toggles) > 0,
             "only a witness re-test can regain the shrink block's hull bit"
         );
 
@@ -611,7 +516,7 @@ mod tests {
             .iter()
             .collect();
         let toggles: Vec<NodeId> = (0..80).map(|i| ops[(i * 37 + i / 7) % ops.len()]).collect();
-        check_touched_is_full_plus_hull_flips(&block, &toggles);
+        check_commits_keep_entries_exact(&block, &toggles);
     }
 
     #[test]
@@ -624,7 +529,6 @@ mod tests {
             arena_reuses: 0,
             arena_allocs: 1,
             queue_pops: 4,
-            queue_reinsertions: 2,
             hull_retests: 7,
             floor_stops: 1,
             audit_checks: 1,
@@ -637,7 +541,6 @@ mod tests {
             arena_reuses: 2,
             arena_allocs: 0,
             queue_pops: 6,
-            queue_reinsertions: 3,
             hull_retests: 5,
             floor_stops: 2,
             audit_checks: 1,
@@ -650,7 +553,6 @@ mod tests {
         assert_eq!(a.arena_reuses, 2);
         assert_eq!(a.arena_allocs, 1);
         assert_eq!(a.queue_pops, 10);
-        assert_eq!(a.queue_reinsertions, 5);
         assert_eq!(a.hull_retests, 12);
         assert_eq!(a.floor_stops, 3);
         assert_eq!(a.audit_checks, 2);
@@ -672,12 +574,11 @@ mod tests {
 
         let mut engine = ToggleEngine::new(&ctx);
         let mut cache = GainCache::new(n);
-        let mut touched = NodeSet::new(n);
         for &u in &nodes {
             let _ = cache.probe(&engine, u);
         }
-        cache.commit_tracked(&mut engine, m, &mut touched);
-        cache.commit_tracked(&mut engine, a, &mut touched);
+        cache.commit_tracked(&mut engine, m);
+        cache.commit_tracked(&mut engine, a);
         assert!(cache.stats().commits == 2);
 
         // Reset onto a fresh engine: stats cleared, every probe fresh
@@ -690,7 +591,7 @@ mod tests {
         }
         assert_eq!(cache.stats().fresh_probes, nodes.len() as u64);
         assert_eq!(cache.stats().cached_probes, 0);
-        cache.commit_tracked(&mut engine, a, &mut touched);
+        cache.commit_tracked(&mut engine, a);
         for &u in &nodes {
             assert_eq!(cache.probe(&engine, u), engine.probe(u));
         }

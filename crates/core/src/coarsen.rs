@@ -22,7 +22,7 @@
 //!    Forbidden and ineligible nodes (inputs, memory barriers) never
 //!    merge.
 //! 2. **Searches** the coarsest level with the existing portfolio
-//!    (max-gain heap queue, restart diversification, pooled arenas). A
+//!    (cached selection scan, restart diversification, pooled arenas). A
 //!    supernode's software latency is the sum of its members'; its
 //!    hardware delay is an upper bound on the members' internal
 //!    critical path — so coarse merit *under*-estimates fine merit and
@@ -108,8 +108,8 @@ pub struct LevelReport {
     /// Merit of the best cut after this level's search, measured in
     /// this level's (conservative) latency summary.
     pub merit: f64,
-    /// Heap slots visited by this level's selection walks
-    /// ([`crate::CacheStats::queue_pops`]).
+    /// Candidates whose exact gain this level's selection scans
+    /// evaluated ([`crate::CacheStats::queue_pops`]).
     pub refine_pops: u64,
     /// Wall time of this level's search, in milliseconds.
     pub wall_ms: f64,

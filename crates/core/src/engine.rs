@@ -791,22 +791,6 @@ impl<'c, 'a> ToggleEngine<'c, 'a> {
         }
     }
 
-    /// A fingerprint of the state [`ToggleEngine::entering_gate`] reads:
-    /// while it is unchanged between two commits, `entering_gate(v)` is
-    /// unchanged for **every** node. Violator sets of ≥ 2 nodes collapse
-    /// to one signature — the gate is `false` for all nodes regardless of
-    /// which nodes violate. The selection queue reads this each
-    /// step to pick the heap whose gate assumption is live (and, for a
-    /// sole violator, which node to evaluate outside the heaps).
-    #[inline]
-    pub(crate) fn gate_signature(&self) -> (u8, u32) {
-        match self.violators.len() {
-            0 => (0, 0),
-            1 => (1, self.violators.first_set().unwrap_or(0) as u32),
-            _ => (2, 0),
-        }
-    }
-
     /// The cone-local half of the entering-convexity test: `v`'s cones
     /// must not touch the hull outside the cut. This is the fused
     /// word-level form of `((below ∪ desc(v)) ∩ (above ∪ anc(v))) \ cut
@@ -1692,7 +1676,7 @@ pub(crate) mod tests {
     /// Global terms (operand counts, latencies, the violator gate, the
     /// cut's convexity/size) are re-read fresh at recombination time,
     /// so they may move for clean nodes; these must not.
-    pub(crate) fn local_terms(engine: &ToggleEngine<'_, '_>, u: NodeId) -> (Option<bool>, NonHull) {
+    fn local_terms(engine: &ToggleEngine<'_, '_>, u: NodeId) -> (Option<bool>, NonHull) {
         let p = engine.probe(u);
         let di = p.inputs as i32 - engine.input_count() as i32;
         let dout = p.outputs as i32 - engine.output_count() as i32;

@@ -31,8 +31,8 @@ use isegen_graph::NodeId;
 /// differences and the structural terms act as directional tie-breakers.
 ///
 /// Weights are validated once, at construction ([`GainWeights::new`]),
-/// so every gain the search computes is a finite number — the max-gain
-/// selection queue's upper bounds rest on that.
+/// so every gain the search computes is a finite number and the
+/// max-gain selection is a total order.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GainWeights {
     merit: f64,
@@ -108,16 +108,16 @@ impl GainWeights {
     /// latency sums, port and neighbour counts below `2^32`, growth
     /// scores ≤ 1. At `|w| ≤ 1e12` — `2e12` for the cohesive flavour's
     /// doubled affinity — each weighted term stays below about `1e32`,
-    /// so no gain, queue key or queue bound can overflow to ±∞ and turn
-    /// a later sum into NaN.
+    /// so no gain can overflow to ±∞ or turn into NaN.
     pub const MAX_MAGNITUDE: f64 = 1e12;
 
     /// Validates a weight set. Rejects non-finite values, a negative
-    /// `merit` or `io_penalty` (the selection queue bounds the hinged
-    /// violation and merit terms from above, which needs both weights to
-    /// enter with a non-negative sign), and any magnitude above
-    /// [`GainWeights::MAX_MAGNITUDE`]. `affinity`, `growth` and
-    /// `independence` may be zero or negative.
+    /// `merit` or `io_penalty`, and any magnitude above
+    /// [`GainWeights::MAX_MAGNITUDE`]. A negative `io_penalty` would
+    /// reward I/O violation and a negative `merit` would invert the
+    /// objective the search maximises (paper §4.2). `affinity`,
+    /// `growth` and `independence` are directional tie-breakers and may
+    /// be zero or negative.
     ///
     /// ```
     /// use isegen_core::GainWeights;

@@ -1,9 +1,8 @@
-use crate::cache::{CacheStats, EnteringTerms, GainCache};
+use crate::cache::{CacheStats, GainCache};
 use crate::coarsen::{multilevel_search, MultilevelConfig, MultilevelReport};
 use crate::driver::CutFinder;
 use crate::engine::EngineArena;
 use crate::gain::gain_of;
-use crate::keyheap::{Frontier, KeyHeap};
 use crate::{BlockContext, Cut, GainWeights, IoConstraints, IoFloor, ToggleEngine};
 use isegen_graph::{NodeId, NodeSet};
 
@@ -37,7 +36,7 @@ pub struct SearchConfig {
     /// paper's single-trajectory algorithm exactly.
     pub restarts: usize,
     /// Invariant-audit cadence: every `audit_cadence`-th committed
-    /// toggle, re-derive the engine, gain-cache and queue state from
+    /// toggle, re-derive the engine, gain-cache and I/O-floor state from
     /// scratch and panic with a structured [`crate::AuditReport`] on any
     /// divergence. `0` (the default) disables auditing; the
     /// `IsegenAudit` environment variable supplies a process-wide
@@ -103,9 +102,8 @@ impl SearchConfig {
 
 /// A reusable per-worker search arena: every buffer a K-L trajectory
 /// needs — the [`ToggleEngine`] node sets, the [`GainCache`] entry
-/// table, the mark set, the selection heaps and the pass-best snapshot
-/// buffer — pooled so that trajectory setup is a reset, not an
-/// allocation.
+/// table, the pass's candidate list and the pass-best snapshot buffer —
+/// pooled so that trajectory setup is a reset, not an allocation.
 ///
 /// One scratch serves one worker thread; it is reset between
 /// trajectories and between *blocks* (buffers resize to each block,
@@ -116,31 +114,13 @@ impl SearchConfig {
 pub struct SearchScratch {
     arena: EngineArena,
     cache: GainCache,
-    marked: NodeSet,
     best_nodes: NodeSet,
-    /// Max-gain queue over the unmarked entering candidates of the
-    /// pass, keyed by the frame-free *base* key (I/O-linearised
-    /// violation + affinity + growth; no merit) — the exact gain
-    /// ordering whenever the convexity gate is closed.
-    heap_base: KeyHeap,
-    /// The cone-locally-convex candidates again, keyed base +
-    /// `w_merit · sw(v)` — consulted alongside `heap_base` whenever the
-    /// gate is open, with the latency frame applied as a per-step
-    /// offset.
-    heap_merit: KeyHeap,
-    /// Frontiers of the two best-first selection walks, kept only so
-    /// that a step allocates nothing.
-    frontier_base: Frontier,
-    frontier_merit: Frontier,
-    /// The nodes whose cached terms the latest commit may have changed
-    /// ([`GainCache::commit_tracked`]): its full-class delta plus the
-    /// hull-bit flips.
-    touched: NodeSet,
-    /// The cut at pass start; unmarked candidates never change side
-    /// within a pass, so this splits them into entering vs. leaving.
+    /// The cut at pass start; the permanent I/O floor counts only the
+    /// committed nodes outside it.
     start_cut: NodeSet,
-    /// Free leaving candidates of the pass (pass-start cut ∩ free).
-    leave_list: Vec<NodeId>,
+    /// The unmarked free nodes of the pass: a committed node is swapped
+    /// out, so the selection scan reads no mark set.
+    unmarked: Vec<NodeId>,
     /// The pass's permanent I/O floor; the pass ends once it exceeds
     /// the budget.
     floor: IoFloor,
@@ -151,198 +131,6 @@ impl SearchScratch {
     /// A cold scratch; the first trajectory builds its buffers.
     pub fn new() -> Self {
         SearchScratch::default()
-    }
-}
-
-/// The keys of entering candidate `v` in the two selection heaps. A
-/// key is *frame-free*: it folds only `v`'s cached [`EnteringTerms`],
-/// never a global count or latency — those enter as exact per-step
-/// offsets at selection time ([`StepFrame`]).
-///
-/// * `base` — `−w_io·(ΔI+ΔO) + w_a·N(v,C) + w_g·growth(v)`: the gain
-///   with the violation hinges *linearised* and every global count
-///   stripped into the step offset. Since `(x)⁺ ≥ x`, the linearised
-///   violation never exceeds the true one, so `base + offset` bounds
-///   the true gate-closed gain from above — and equals it exactly once
-///   the cut is at least [`HingeSlack`] ports into violation.
-/// * `merit` — `base + w_m·sw(v)`, for cone-locally-convex candidates
-///   only: the gate-open gain with `max(HW, through(v))` relaxed to
-///   `HW`, again an upper bound whose slack [`HingeSlack`] closes.
-///
-/// Requires `w_io ≥ 0` and `w_m ≥ 0`, which [`GainWeights::new`]
-/// guarantees; the per-node-signed terms fold into the key.
-fn entering_keys(
-    ctx: &BlockContext<'_>,
-    weights: &GainWeights,
-    v: NodeId,
-    t: &EnteringTerms,
-) -> (f64, Option<f64>) {
-    let base = -(weights.io_penalty() * (t.di + t.dout) as f64)
-        + weights.affinity() * t.neighbors_in_cut as f64
-        + weights.growth() * ctx.growth_score(v);
-    let merit = t
-        .local_convex
-        .then(|| base + weights.merit() * f64::from(ctx.sw_cycles(v)));
-    (base, merit)
-}
-
-/// Inserts or re-keys entering candidate `v` in both heaps, taking it
-/// out of the merit heap when its cached terms are no longer cone-locally convex.
-fn rekey_entering(
-    heap_base: &mut KeyHeap,
-    heap_merit: &mut KeyHeap,
-    ctx: &BlockContext<'_>,
-    weights: &GainWeights,
-    v: NodeId,
-    t: &EnteringTerms,
-) {
-    let node = v.index() as u32;
-    let (base, merit) = entering_keys(ctx, weights, v, t);
-    heap_base.set(node, base);
-    match merit {
-        Some(key) => heap_merit.set(node, key),
-        None => heap_merit.remove(node),
-    }
-}
-
-/// Audit-mode check of the selection queue: both heaps are sound
-/// ([`KeyHeap::audit`]), the base heap holds exactly the unmarked
-/// entering candidates and the merit heap exactly those whose cached
-/// terms are cone-locally convex, each at the key its cached terms give.
-fn audit_queue(
-    ctx: &BlockContext<'_>,
-    weights: &GainWeights,
-    cache: &GainCache,
-    [base, merit]: [&KeyHeap; 2],
-    free_nodes: &[NodeId],
-    start_cut: &NodeSet,
-    marked: &NodeSet,
-) -> Vec<String> {
-    let mut out = base.audit("base");
-    out.extend(merit.audit("merit"));
-    let mut members = [0, 0];
-    for &u in free_nodes {
-        if start_cut.contains(u) || marked.contains(u) {
-            continue;
-        }
-        let node = u.index() as u32;
-        let Some(t) = cache.cached_entering_terms(u) else {
-            out.push(format!(
-                "queue: entering candidate n{node} has no clean cached terms"
-            ));
-            continue;
-        };
-        let (key_base, key_merit) = entering_keys(ctx, weights, u, &t);
-        for (i, name, heap, want) in [
-            (0, "base", base, Some(key_base)),
-            (1, "merit", merit, key_merit),
-        ] {
-            members[i] += usize::from(want.is_some());
-            let got = heap.key(node);
-            if got.map(f64::to_bits) != want.map(f64::to_bits) {
-                out.push(format!(
-                    "{name} heap: n{node} keyed {got:?}, cached terms give {want:?}"
-                ));
-            }
-        }
-    }
-    for (heap, name, want) in [(base, "base", members[0]), (merit, "merit", members[1])] {
-        if heap.len() != want {
-            out.push(format!(
-                "{name} heap: {} slots for {want} members",
-                heap.len()
-            ));
-        }
-    }
-    out
-}
-
-/// The per-step global frame: exact offsets that turn a frame-free key
-/// into an upper bound on the candidate's true gain, recomputed from
-/// live engine globals at every selection (so keys never drift).
-///
-/// For a key `κ` the bound is `κ + off + slack`: `off` restores the
-/// linearised global contribution and `slack` covers the hinge
-/// nonlinearities ([`HingeSlack`]) plus a rounding margin scaled to the
-/// magnitudes involved (the true gain is recombined in a different
-/// association order, so bit-equality cannot be assumed — but the
-/// relative error is ulps, far below the `1e-13` margin).
-#[derive(Debug, Clone, Copy)]
-struct StepFrame {
-    /// `−w_io·((I−N_in) + (O−N_out))` — the linearised violation frame.
-    off_base: f64,
-    /// `off_base + w_m·(SW − HW)` — the merit heap's frame.
-    off_merit: f64,
-    /// Hinge slack of the base keys: `w_io·((N_in−I+D)⁺ + (N_out−O+A)⁺)`.
-    slack_base: f64,
-    /// `slack_base + w_m·(T−HW)⁺` — adds the merit hinge slack.
-    slack_merit: f64,
-}
-
-impl StepFrame {
-    fn new(
-        engine: &ToggleEngine<'_, '_>,
-        weights: &GainWeights,
-        io: IoConstraints,
-        hinges: &HingeSlack,
-    ) -> StepFrame {
-        let i = f64::from(engine.input_count());
-        let o = f64::from(engine.output_count());
-        let nin = f64::from(io.max_inputs());
-        let nout = f64::from(io.max_outputs());
-        let off_base = -(weights.io_penalty() * ((i - nin) + (o - nout)));
-        let slack_base = weights.io_penalty()
-            * ((nin - i + hinges.din).max(0.0) + (nout - o + hinges.dout).max(0.0));
-        let sw = engine.software_latency() as f64;
-        let hw = engine.hardware_latency();
-        let off_merit = off_base + weights.merit() * (sw - hw);
-        let slack_merit = slack_base + weights.merit() * (hinges.through - hw).max(0.0);
-        StepFrame {
-            off_base,
-            off_merit,
-            slack_base,
-            slack_merit,
-        }
-    }
-
-    /// Upper bound on the true gain of a key from the given heap.
-    fn bound(&self, key: f64, merit_heap: bool) -> f64 {
-        let (off, slack) = if merit_heap {
-            (self.off_merit, self.slack_merit)
-        } else {
-            (self.off_base, self.slack_base)
-        };
-        let b = key + off + slack;
-        b + (1.0 + key.abs() + off.abs()) * 1e-13
-    }
-}
-
-/// Running maxima over every candidate keyed so far, closing the
-/// one-sided gaps between the linearised keys and the true hinged
-/// terms: `din = max(−ΔI)⁺`, `dout = max(−ΔO)⁺` (how far below the
-/// global count a candidate's post-toggle I/O can sit) and `through`
-/// (the tallest cached through-path). Maxima only grow, so they stay
-/// conservative for every live entry.
-#[derive(Debug, Clone, Copy)]
-struct HingeSlack {
-    din: f64,
-    dout: f64,
-    through: f64,
-}
-
-impl HingeSlack {
-    fn new() -> HingeSlack {
-        HingeSlack {
-            din: 0.0,
-            dout: 0.0,
-            through: 0.0,
-        }
-    }
-
-    fn absorb(&mut self, t: &EnteringTerms) {
-        self.din = self.din.max(f64::from(-t.di));
-        self.dout = self.dout.max(f64::from(-t.dout));
-        self.through = self.through.max(t.through);
     }
 }
 
@@ -366,7 +154,7 @@ struct TrajectorySpec<'s> {
 }
 
 /// Everything one [`Search`] run produced: the best cut, the merged
-/// probe/queue statistics of the whole portfolio, and the V-cycle
+/// probe/scan statistics of the whole portfolio, and the V-cycle
 /// evidence when the multilevel pipeline ran.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
@@ -374,7 +162,7 @@ pub struct SearchOutcome {
     /// The best legal cut found; empty when no legal cut with positive
     /// merit exists (e.g. everything is forbidden).
     pub cut: Cut,
-    /// Gain-cache probe and queue statistics merged over every
+    /// Gain-cache probe and scan statistics merged over every
     /// trajectory (all weight flavours and restarts).
     pub stats: CacheStats,
     /// Per-level V-cycle evidence when the multilevel pipeline actually
@@ -650,6 +438,18 @@ where
 /// diversification). All working state lives in `scratch`; the only
 /// allocations are the returned [`Cut`] snapshots.
 ///
+/// Each step evaluates the gain of every unmarked free node, exactly as
+/// the paper's pass does, and commits the best under [`beats`]: higher
+/// gain, ties to the lowest node id. That is a total order, so the
+/// order of the scan does not matter. The gains are served by a
+/// [`GainCache`]: after each committed toggle only the commit's full
+/// class is re-probed, and its hull-only class is settled in place;
+/// every other gain is recombined from cached local terms in O(1). The
+/// cached gains are bit-identical to fresh probes
+/// (`tests/gain_cache_prop.rs`), so a commit costs one O(1)
+/// recombination per unmarked candidate plus the fresh probes of the
+/// candidates the previous commit dirtied.
+///
 /// A pass ends early once its permanent I/O floor ([`IoFloor`]) exceeds
 /// `io`: the committed entering nodes stay in the cut for the rest of
 /// the pass, so no later state of the pass can be legal and the pass
@@ -659,58 +459,10 @@ where
 /// merit or later pass ([`CacheStats::floor_stops`] counts the passes
 /// it ended).
 ///
-/// The sweep is served by a [`GainCache`]: after each committed toggle
-/// only the commit's full class is re-probed, and its hull-only class
-/// is settled in place; every other gain is recombined from cached
-/// local terms in O(1). The cached gains
-/// are bit-identical to fresh probes (`tests/gain_cache_prop.rs`).
-///
-/// The per-commit argmax is served by a pair of addressable max-heaps
-/// ([`KeyHeap`]) instead of the paper's literal scan over every
-/// unmarked candidate.
-/// [`GainWeights::new`] guarantees finite weights with non-negative
-/// violation and merit weights, so every gain is finite and every heap
-/// bound is sound. Exactness rests on three invariants:
-///
-/// * **Fixed sides.** A node changes side only when toggled, and every
-///   toggled node is marked, so an unmarked candidate keeps its
-///   pass-start side. The heaps hold only *entering* candidates; the
-///   few free *leaving* candidates (pass-start cut ∩ free) are scanned
-///   exactly each step.
-/// * **Frame-free keys.** Heap keys fold only per-node cached terms
-///   ([`entering_keys`]); the global counts and latencies enter as an
-///   exact per-step offset ([`StepFrame`]) recomputed from the live
-///   engine at every selection. A key therefore changes only when its
-///   node's cache entry does, and the commit that dirties a node sifts
-///   its slots in place, so each heap holds at most one slot per
-///   unmarked candidate, always at its current key, and no amount of
-///   global movement ever invalidates it. `key + offset + slack` bounds the true gain from
-///   above, where the slack covers the two hinge nonlinearities
-///   ([`HingeSlack`]): it is exactly zero once the cut is deep enough
-///   in violation and the hardware path has passed the tallest
-///   candidate. Selection walks the heap trees best-first, evaluates
-///   each visited slot's exact cached gain, and stops once no frontier
-///   root's bound can beat the incumbent: a child's key never exceeds
-///   its parent's and the bound rises with the key, so that prunes
-///   exactly the subtrees that cannot win. Nothing is popped; the heaps
-///   change only on re-keys and commits.
-/// * **Gate-split heaps.** The entering convexity gate depends only on
-///   (#violators clamped to 2, the sole violator's id), and it affects
-///   a gain in exactly one way: the merit term is zeroed when the gate
-///   is closed. The base heap keys every candidate without merit — the
-///   exact ordering whenever the gate is closed; the merit heap keys
-///   the cone-locally-convex candidates with it. Each step reads the
-///   live signature: no violators → consult both heaps, ≥ 2 violators
-///   → base heap only, and a sole violator → base heap plus one exact
-///   evaluation of the violator itself outside the heaps. A
-///   violator-set flip switches regimes; it never rebuilds anything.
-///
-/// Each pass is toggle-for-toggle a prefix of the literal scan's pass,
-/// ties to the lowest node id included, with the same best cut and
-/// merit — `tests/queue_parity.rs` checks every commit against an
-/// independent scan oracle that runs every pass to the end. A commit
-/// costs O(dirty · log n) for the in-place re-keys plus O(visited · log
-/// visited) for the walk, instead of O(free) probes.
+/// Each pass is toggle-for-toggle a prefix of the literal uncached
+/// scan's pass, with the same best cut and merit —
+/// `tests/queue_parity.rs` checks every commit against an independent
+/// scan oracle that runs every pass to the end.
 fn run_trajectory(
     ctx: &BlockContext<'_>,
     io: IoConstraints,
@@ -756,15 +508,9 @@ fn run_trajectory(
     let mut engine =
         ToggleEngine::from_cut_in(ctx, start_nodes, std::mem::take(&mut scratch.arena));
     let cache = &mut scratch.cache;
-    let marked = &mut scratch.marked;
     let best_nodes = &mut scratch.best_nodes;
-    let heap_base = &mut scratch.heap_base;
-    let heap_merit = &mut scratch.heap_merit;
-    let frontier_base = &mut scratch.frontier_base;
-    let frontier_merit = &mut scratch.frontier_merit;
-    let touched = &mut scratch.touched;
     let start_cut = &mut scratch.start_cut;
-    let leave_list = &mut scratch.leave_list;
+    let unmarked = &mut scratch.unmarked;
     let floor = &mut scratch.floor;
 
     // Invariant-audit cadence; the disabled path is one integer compare
@@ -777,8 +523,10 @@ fn run_trajectory(
             engine.reset_from_cut(best_cut.nodes());
         }
         cache.reset(n);
-        marked.reset(n);
         floor.reset(n);
+        start_cut.copy_from(engine.cut());
+        unmarked.clear();
+        unmarked.extend_from_slice(free_nodes);
         if let Some(t) = trace.as_deref_mut() {
             t.push(Vec::new());
         }
@@ -788,136 +536,31 @@ fn run_trajectory(
         let mut pass_best_merit = best_merit;
         let mut forced = if pass == 0 { spec.seed } else { None };
 
-        // Queue state of the pass: the pass-start side split, the two
-        // entering-candidate heaps keyed by frame-free terms, and the
-        // hinge-slack maxima their bounds lean on.
-        let mut hinges = HingeSlack::new();
-        start_cut.copy_from(engine.cut());
-        leave_list.clear();
-        for v in start_cut.iter() {
-            if free.contains(v) {
-                leave_list.push(v);
-            }
-        }
-        heap_base.reset(n);
-        heap_merit.reset(n);
-        for &v in free_nodes {
-            if start_cut.contains(v) {
-                continue;
-            }
-            let t = cache.entering_terms(&engine, v);
-            hinges.absorb(&t);
-            rekey_entering(heap_base, heap_merit, ctx, weights, v, &t);
-        }
-
-        for _ in 0..free_nodes.len() {
-            // Pick the max-gain unmarked node; ties break to the lowest
-            // node id (determinism).
-            let mut chosen = forced.take();
-            if chosen.is_none() {
-                // Exact scan over the few leaving candidates first …
-                let mut best: Option<(f64, NodeId)> = None;
-                for &v in leave_list.iter() {
-                    if marked.contains(v) {
-                        continue;
-                    }
-                    let g = cache.gain(&engine, weights, io, v);
-                    if beats(g, v, best) {
-                        best = Some((g, v));
-                    }
-                }
-                // … then the live gate signature picks the heaps to
-                // consult: no violators → both (the merit heap bounds
-                // the cone-locally-convex candidates, the base heap
-                // the rest), ≥ 2 violators → base heap only (merit is
-                // gate-closed for everyone). A sole violator is the
-                // one node whose merit survives a closed gate: if it
-                // is an entering candidate, evaluate it exactly here
-                // and skip its base-heap slot below.
-                let sig = engine.gate_signature();
-                let mut special: Option<u32> = None;
-                if sig.0 == 1 {
-                    let x = NodeId::from_index(sig.1 as usize);
-                    if free.contains(x) && !marked.contains(x) && !start_cut.contains(x) {
-                        special = Some(x.index() as u32);
-                        let g = cache.gain(&engine, weights, io, x);
-                        if beats(g, x, best) {
-                            best = Some((g, x));
+        loop {
+            // Pick the max-gain unmarked node: the forced seed, else one
+            // exact scan of the cached gains.
+            let slot = match forced.take() {
+                Some(seed) => unmarked.iter().position(|&u| u == seed),
+                None => {
+                    let mut best: Option<(f64, NodeId)> = None;
+                    let mut slot = None;
+                    for (i, &v) in unmarked.iter().enumerate() {
+                        let g = cache.gain(&engine, weights, io, v);
+                        if beats(g, v, best) {
+                            best = Some((g, v));
+                            slot = Some(i);
                         }
                     }
+                    stats.queue_pops += unmarked.len() as u64;
+                    slot
                 }
-                let frame = StepFrame::new(&engine, weights, io, &hinges);
-                let use_merit = sig.0 == 0;
-                // Walk the consulted heaps best-first, always visiting
-                // the frontier slot with the higher bound (base wins
-                // ties), until no bound left can beat the incumbent.
-                let mut walk_base = heap_base.walk(frontier_base);
-                let mut walk_merit = heap_merit.walk(frontier_merit);
-                loop {
-                    if walk_base.peek().is_some_and(|(_, u)| Some(u) == special) {
-                        // Already judged exactly above; its subtree
-                        // still has to be walked.
-                        walk_base.next();
-                        stats.queue_pops += 1;
-                    }
-                    let b_base = walk_base.peek().map(|(k, _)| frame.bound(k, false));
-                    let b_merit = walk_merit
-                        .peek()
-                        .filter(|_| use_merit)
-                        .map(|(k, _)| frame.bound(k, true));
-                    let (bound, walk) = match (b_base, b_merit) {
-                        (None, None) => break,
-                        (Some(b), Some(m)) if m > b => (m, &mut walk_merit),
-                        (Some(b), _) => (b, &mut walk_base),
-                        (None, Some(m)) => (m, &mut walk_merit),
-                    };
-                    // A child's key never exceeds its parent's and the
-                    // bound rises with the key, so `bound` dominates
-                    // every slot left in a consulted heap; each
-                    // unmarked entering candidate has a slot there
-                    // whose bound dominates its true gain — nothing
-                    // left can win or tie.
-                    if best.is_some_and(|(bg, _)| bound < bg) {
-                        break;
-                    }
-                    let Some((_, u)) = walk.next() else { break };
-                    stats.queue_pops += 1;
-                    let node = NodeId::from_index(u as usize);
-                    let g = cache.gain(&engine, weights, io, node);
-                    if beats(g, node, best) {
-                        best = Some((g, node));
-                    }
-                }
-                chosen = best.map(|(_, v)| v);
-            }
-            let Some(v) = chosen else { break };
+            };
+            let Some(slot) = slot else { break };
+            let v = unmarked.swap_remove(slot);
             if let Some(pass_trace) = trace.as_deref_mut().and_then(|t| t.last_mut()) {
                 pass_trace.push(v);
             }
-            cache.commit_tracked(&mut engine, v, touched);
-            marked.insert(v);
-            heap_base.remove(v.index() as u32);
-            heap_merit.remove(v.index() as u32);
-            // Targeted re-key: exactly the nodes the commit touched are
-            // refreshed and sifted in place; every other slot's key is
-            // still current because keys fold no global state (a
-            // hull-bit flip moves only merit-heap membership).
-            // Word-level pre-mask: the touched set is dominated by
-            // already-committed cut members (leave-term coverage),
-            // which the re-key must skip — filter them out 64 at a
-            // time instead of testing three sets per bit.
-            touched.for_each_word(|wi, w| {
-                let mut m = w & free.word(wi) & !start_cut.word(wi) & !marked.word(wi);
-                while m != 0 {
-                    let b = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    let u = NodeId::from_index(wi * 64 + b);
-                    let t = cache.entering_terms(&engine, u);
-                    hinges.absorb(&t);
-                    rekey_entering(heap_base, heap_merit, ctx, weights, u, &t);
-                    stats.queue_reinsertions += 1;
-                }
-            });
+            cache.commit_tracked(&mut engine, v);
             floor.commit(ctx, free, start_cut, v);
             commits_done += 1;
             if audit_every != 0 && commits_done.is_multiple_of(audit_every) {
@@ -933,15 +576,6 @@ fn run_trajectory(
                     ));
                 }
                 divergences.extend(cache.audit_divergences(&engine));
-                divergences.extend(audit_queue(
-                    ctx,
-                    weights,
-                    cache,
-                    [&*heap_base, &*heap_merit],
-                    free_nodes,
-                    start_cut,
-                    marked,
-                ));
                 cache.note_audit();
                 if !divergences.is_empty() {
                     panic!(

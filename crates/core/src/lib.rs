@@ -22,11 +22,11 @@
 //!   ([`WeightsError`]).
 //! * [`Search`] — the modified Kernighan–Lin pass structure of Fig. 2,
 //!   served by [`GainCache`]: a dirty-set probe cache that re-evaluates
-//!   only the candidates a committed toggle could have changed, and
-//!   addressable max-gain heaps that replace the per-commit full
-//!   scan; each pass ends as soon as its permanent I/O floor is over
-//!   the port budget ([`SearchOutcome`] exposes the probes-avoided,
-//!   queue and floor-stop counters).
+//!   only the candidates a committed toggle could have changed, so the
+//!   per-commit scan over every unmarked candidate is one O(1)
+//!   recombination each; each pass ends as soon as its permanent I/O
+//!   floor is over the port budget ([`SearchOutcome`] exposes the
+//!   probes-avoided, scan and floor-stop counters).
 //! * [`Generator`] — the whole-application driver (Problem 2): block
 //!   ranking by speedup potential, up to `N_ISE` successive
 //!   bi-partitions, optional reuse of each ISE across all its isomorphic
@@ -71,7 +71,6 @@ mod driver;
 mod engine;
 mod floor;
 mod gain;
-mod keyheap;
 mod kl;
 mod speedup;
 

@@ -449,7 +449,6 @@ impl Service {
                     ("probes_avoided_pct", (s.avoided_fraction() * 100.0).into()),
                     ("commits", s.commits.into()),
                     ("queue_pops", s.queue_pops.into()),
-                    ("queue_reinsertions", s.queue_reinsertions.into()),
                     ("hull_retests", s.hull_retests.into()),
                     ("floor_stops", s.floor_stops.into()),
                     ("trajectories", s.trajectories.into()),

@@ -1,15 +1,15 @@
 //! The incremental-engine invariant auditor: with a nonzero audit
 //! cadence, `run_trajectory` periodically rebuilds the ground truth
 //! from scratch and cross-checks the [`ToggleEngine`]'s incidence
-//! sets, the [`GainCache`]'s cached terms and the selection heaps'
-//! shape, membership and keys — panicking with a structured report on divergence. On
+//! sets, the [`GainCache`]'s cached terms and the pass's permanent I/O
+//! floor — panicking with a structured report on divergence. On
 //! healthy code it must therefore be a behavioral no-op: same cuts,
 //! same merits, plus a nonzero `audit_checks` counter. And it must
 //! actually *detect* corruption, which `corrupt_entry_for_test`
 //! proves directly.
 
 use isegen::core::{BlockContext, GainCache, IoConstraints, Search, SearchConfig, ToggleEngine};
-use isegen::graph::{NodeId, NodeSet};
+use isegen::graph::NodeId;
 use isegen::ir::LatencyModel;
 use isegen::workloads::{random_application, workload_by_name, RandomWorkloadConfig};
 use proptest::prelude::*;
@@ -28,7 +28,7 @@ fn env_audit() -> bool {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The queue-parity random-DAG cases, re-run under audit cadence 2:
+    /// The scan-parity random-DAG cases, re-run under audit cadence 2:
     /// any divergence between the live incremental state and the
     /// from-scratch rebuild panics inside the search, so completing at
     /// all asserts zero divergences. The audited outcome must also match
@@ -73,7 +73,7 @@ proptest! {
 }
 
 /// A real registry workload at cadence 1 — every commit cross-checked,
-/// the selection heaps' shape, membership and keys included.
+/// the I/O floor included.
 #[test]
 fn audit_every_commit_on_registry_workload() {
     let spec = workload_by_name("fir00").expect("fir00 in registry");
@@ -108,11 +108,10 @@ fn corrupted_cache_entry_is_detected() {
     let n = ctx.node_count();
     let mut engine = ToggleEngine::new(&ctx);
     let mut cache = GainCache::new(n);
-    let mut touched = NodeSet::new(n);
 
     // Move a node into the cut, then probe everything clean.
     let first = ctx.eligible().iter().next().expect("an eligible node");
-    cache.commit_tracked(&mut engine, first, &mut touched);
+    cache.commit_tracked(&mut engine, first);
     for i in 0..n {
         let _ = cache.probe(&engine, NodeId::from_index(i));
     }

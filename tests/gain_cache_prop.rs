@@ -9,7 +9,7 @@
 //! the cache settles in place.
 
 use isegen::core::{BlockContext, GainCache, GainWeights, IoConstraints, ToggleEngine};
-use isegen::graph::{NodeId, NodeSet};
+use isegen::graph::NodeId;
 use isegen::ir::LatencyModel;
 use isegen::workloads::{aes, random_application, RandomWorkloadConfig};
 use proptest::prelude::*;
@@ -25,14 +25,13 @@ fn check_cache(block: &isegen::ir::BasicBlock, toggles: &[usize]) -> Result<(), 
     let io = IoConstraints::new(4, 2);
     let mut engine = ToggleEngine::new(&ctx);
     let mut cache = GainCache::new(ctx.node_count());
-    let mut touched = NodeSet::new(ctx.node_count());
     // Warm the cache so later commits must *invalidate*, not just fill.
     for &u in &nodes {
         let _ = cache.probe(&engine, u);
     }
     for &t in toggles {
         let v = nodes[t % nodes.len()];
-        cache.commit_tracked(&mut engine, v, &mut touched);
+        cache.commit_tracked(&mut engine, v);
         for &u in &nodes {
             let cached = cache.probe(&engine, u);
             let fresh = engine.probe(u);

@@ -1,8 +1,8 @@
 //! Behaviour lock: absolute fingerprints of every registry selection,
 //! pinned in `tests/GOLDEN.json`.
 //!
-//! Every other bit-identity gate in the suite is pairwise (queue ≡ scan
-//! oracle, threads=N ≡ threads=1), so a change that
+//! Every other bit-identity gate in the suite is pairwise (cached scan ≡
+//! uncached oracle, threads=N ≡ threads=1), so a change that
 //! moves both sides of a pair together would pass them silently. This
 //! file pins the outputs themselves, at `IseConfig::paper_default()`:
 //!

@@ -1,5 +1,5 @@
-//! The max-gain selection queue and the permanent I/O floor must be
-//! pure wall-clock optimisations: each production pass must commit the
+//! The cached selection scan and the permanent I/O floor must be pure
+//! wall-clock optimisations: each production pass must commit the
 //! **same toggles in the same order** as the paper's literal inner loop
 //! until the floor ends it, so cuts, merits and selections are
 //! bit-identical.
@@ -12,10 +12,14 @@
 //! node. Each production pass (`trajectory_commit_trace`) must be a
 //! prefix of the matching oracle pass, and the trajectory's best cut
 //! and merit, and full-search cuts, must equal the oracle's.
+//!
+//! The production scan evaluates each unmarked candidate's gain once per
+//! step, and each evaluation is exactly one probe, fresh or cached:
+//! `fresh_probes + cached_probes == queue_pops` for every search.
 
 use isegen::core::{
-    trajectory_commit_trace, BlockContext, GainWeights, IoConstraints, Search, SearchConfig,
-    ToggleEngine,
+    trajectory_commit_trace, BlockContext, CacheStats, GainWeights, IoConstraints,
+    MultilevelConfig, Search, SearchConfig, ToggleEngine,
 };
 use isegen::graph::{NodeId, NodeSet};
 use isegen::ir::LatencyModel;
@@ -159,12 +163,24 @@ fn assert_matches_oracle(
     if let Some(f) = forbidden {
         search = search.forbidden(f);
     }
-    let cut = search.run(ctx, io).cut;
+    let outcome = search.run(ctx, io);
+    assert_scan_probes_once(&outcome.stats, label);
+    let cut = outcome.cut;
     assert_eq!(cut.nodes(), &best.best, "{label}: different cut");
     assert_eq!(
         cut.merit().to_bits(),
         best.merit.to_bits(),
         "{label}: different merit"
+    );
+}
+
+/// Every gain the selection scan evaluates is one probe, and nothing
+/// else probes.
+fn assert_scan_probes_once(stats: &CacheStats, label: &str) {
+    assert_eq!(
+        stats.fresh_probes + stats.cached_probes,
+        stats.queue_pops,
+        "{label}: probes and scan evaluations disagree: {stats:?}"
     );
 }
 
@@ -204,7 +220,7 @@ proptest! {
 
     /// The most hostile weights `GainWeights::new` admits: every
     /// magnitude at the cap, with the structural terms (which may be
-    /// negative) of either sign. The queue's bounds must stay exact.
+    /// negative) of either sign. The cached scan must stay exact.
     #[test]
     fn queue_matches_scan_under_hostile_weights(
         seed in any::<u64>(),
@@ -227,10 +243,37 @@ proptest! {
             .expect("at-cap weights are valid");
         assert_trace_matches(&ctx, io, weights, None, &format!("seed {seed}"));
     }
+
+    /// Restart portfolios, worker threads and the multilevel V-cycle
+    /// route every gain through the same scan: probes equal scan
+    /// evaluations for every search outcome.
+    #[test]
+    fn every_probe_is_one_scan_evaluation(
+        seed in any::<u64>(),
+        ops in 8usize..160,
+        threads in 1usize..3,
+        multilevel in 0usize..2,
+    ) {
+        let app = random_application(&RandomWorkloadConfig {
+            seed,
+            blocks: 1,
+            ops_per_block: ops,
+            ..RandomWorkloadConfig::default()
+        });
+        let block = &app.blocks()[0];
+        let model = LatencyModel::paper_default();
+        let ctx = BlockContext::new(block, &model);
+        let mut config = SearchConfig::default();
+        if multilevel == 1 {
+            config = config.with_multilevel(MultilevelConfig::default().with_min_coarse_ops(16));
+        }
+        let outcome = Search::new(config).threads(threads).run(&ctx, IoConstraints::new(4, 2));
+        assert_scan_probes_once(&outcome.stats, &format!("seed {seed}"));
+    }
 }
 
 /// The full-round AES-128 kernel: the largest registry workload the
-/// queue and the floor are benchmarked on.
+/// scan and the floor are benchmarked on.
 #[test]
 fn queue_matches_scan_on_aes128() {
     let spec = workload_by_name("aes128").expect("aes128 in registry");
@@ -245,16 +288,12 @@ fn queue_matches_scan_on_aes128() {
     let io = IoConstraints::new(4, 2);
     assert_matches_oracle(&ctx, io, None, "aes128");
 
-    // And the queue must actually be in play.
+    // And the cache must actually serve the scan.
     let outcome = Search::default().run(&ctx, io);
+    assert_scan_probes_once(&outcome.stats, "aes128");
     assert!(
-        outcome.stats.queue_pops > 0,
-        "the queue never popped: {:?}",
-        outcome.stats
-    );
-    assert!(
-        outcome.stats.queue_reinsertions > 0,
-        "dirty-set reinsertion never ran: {:?}",
+        outcome.stats.cached_probes > 0,
+        "the scan never read a cached gain: {:?}",
         outcome.stats
     );
     // And so must the permanent I/O floor.
