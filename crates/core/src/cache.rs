@@ -15,19 +15,25 @@
 //!
 //! * the **full** class — the toggled node's neighbours, the consumers
 //!   of its producers whose I/O terms crossed a threshold, longest-path
-//!   moves, the cut members in its cones (and, for the rare leaving
-//!   commit, its whole cones). These become dirty and are re-probed for
-//!   real on next access;
+//!   moves and the cut members in its cones, for entering and leaving
+//!   commits alike. These become dirty and are re-probed for real on
+//!   next access;
 //! * the **hull-only** class — nodes whose only term that can have
 //!   moved is the entering hull bit. Hull growth can only clear it,
 //!   and does so with no probe; hull shrink can only set it, and is
 //!   settled by re-testing that one term — and only for entries whose
-//!   cached witness (the ext node that failed them) has entered the
-//!   cut, since a witness still outside keeps failing them. Either way
-//!   the entry stays clean.
+//!   cached witness (the ext node that failed them) no longer fails
+//!   them. Either way the entry stays clean.
+//!
+//! A toggle is its own inverse, so the same tracked commit also undoes
+//! one: [`GainCache::roll_back`] returns a trajectory to its pass best
+//! with every clean entry still exact. And every trajectory of one
+//! portfolio starts from the same cut, so their caches start as copies
+//! of one start table ([`GainCache::fill`], [`GainCache::copy_from`]).
 //!
 //! `tests/gain_cache_prop.rs` proves the recombined probes identical to
-//! fresh ones after arbitrary toggle sequences.
+//! fresh ones after arbitrary toggle sequences, and `tests/rollback.rs`
+//! after rollbacks.
 
 use crate::engine::{HullMarks, Probe, ToggleEngine};
 use crate::{GainWeights, IoConstraints};
@@ -58,8 +64,9 @@ struct Entry {
     through: f64,
     /// Entering entries that fail the hull test: the ext node that
     /// failed it ([`ToggleEngine::entering_hull_witness`]), or `None`
-    /// when not known. While the witness stays outside the cut the
-    /// entry still fails, so hull shrink need not re-test it.
+    /// when not known. While the witness still holds
+    /// ([`ToggleEngine::hull_witness_holds`]) the entry still fails, so
+    /// hull shrink need not re-test it.
     hull_witness: Option<NodeId>,
 }
 
@@ -81,8 +88,17 @@ pub struct CacheStats {
     pub cached_probes: u64,
     /// Probes that ran the full O(deg + n/64) engine evaluation.
     pub fresh_probes: u64,
-    /// Committed toggles routed through the cache.
+    /// Committed toggles of the search, routed through the cache; the
+    /// undos of a rollback are counted apart, in `undo_commits`.
     pub commits: u64,
+    /// Toggles that undid a commit to return a trajectory to its pass
+    /// best ([`GainCache::roll_back`]).
+    pub undo_commits: u64,
+    /// Entries of the per-portfolio start table ([`GainCache::fill`]):
+    /// one fresh evaluation per free node of each portfolio, shared by
+    /// every trajectory. They are not scan evaluations, so they are
+    /// neither fresh nor cached probes.
+    pub table_fills: u64,
     /// K-L portfolio trajectories merged into this result.
     pub trajectories: u64,
     /// Trajectory setups served from a warm [`crate::SearchScratch`]
@@ -105,9 +121,10 @@ pub struct CacheStats {
     /// ([`crate::IoFloor`]) exceeded the port budget: every later state
     /// of the pass was provably illegal.
     pub floor_stops: u64,
-    /// Invariant audits executed (zero unless audit mode is on —
-    /// `tests/audit_mode.rs` pins this to prove the disabled path does
-    /// no audit work).
+    /// Invariant audits executed at the commit cadence (zero unless
+    /// audit mode is on — `tests/audit_mode.rs` pins this to prove the
+    /// disabled path does no audit work). Audit mode also audits after
+    /// every rollback; those audits are not counted here.
     pub audit_checks: u64,
 }
 
@@ -127,6 +144,8 @@ impl CacheStats {
         self.cached_probes += other.cached_probes;
         self.fresh_probes += other.fresh_probes;
         self.commits += other.commits;
+        self.undo_commits += other.undo_commits;
+        self.table_fills += other.table_fills;
         self.trajectories += other.trajectories;
         self.arena_reuses += other.arena_reuses;
         self.arena_allocs += other.arena_allocs;
@@ -186,15 +205,59 @@ impl GainCache {
         self.stats = CacheStats::default();
     }
 
+    /// Resets the cache to the engine's block and evaluates a clean
+    /// entry for each of `nodes` against the engine's current cut — the
+    /// start table of a portfolio, counted in
+    /// [`CacheStats::table_fills`]. Every other node stays dirty.
+    pub fn fill(&mut self, engine: &ToggleEngine<'_, '_>, nodes: &[NodeId]) {
+        self.reset(engine.ctx().node_count());
+        for &v in nodes {
+            self.refresh_entry(engine, v);
+        }
+        self.stats.table_fills = nodes.len() as u64;
+    }
+
+    /// Makes this cache a copy of `table`'s entries, dirty set and hull
+    /// mirror, with zeroed statistics — a trajectory's start from its
+    /// portfolio's start table, allocation-free once the buffers have
+    /// held a block at least as large.
+    pub fn copy_from(&mut self, table: &GainCache) {
+        self.entries.clone_from(&table.entries);
+        self.dirty.copy_from(&table.dirty);
+        self.hull_ok.copy_from(&table.hull_ok);
+        self.stats = CacheStats::default();
+    }
+
     /// Commits a toggle through the engine and brings the cache up to
     /// date with it, never flushing the whole cache: the full class of
     /// the commit becomes dirty (re-probed on next access), and the
     /// hull-only class is settled in place — hull growth clears the
     /// hull bit of the clean entries it reaches with no probe, hull
     /// shrink re-tests just the hull term of the clean entries whose
-    /// bit was clear and whose witness has entered the cut.
+    /// bit was clear and whose witness no longer holds.
     pub fn commit_tracked(&mut self, engine: &mut ToggleEngine<'_, '_>, v: NodeId) {
         self.stats.commits += 1;
+        self.toggle_tracked(engine, v);
+    }
+
+    /// Undoes `commits`, newest first, through the same tracked toggle
+    /// as [`GainCache::commit_tracked`] (a toggle is its own inverse),
+    /// then relabels the engine's components in the order a fresh
+    /// engine would build them. Afterwards the engine equals
+    /// [`ToggleEngine::from_cut`] of the rolled-back cut, every gain
+    /// bit for bit, and every clean entry is still exact. The undos
+    /// count in [`CacheStats::undo_commits`], not in `commits`.
+    pub fn roll_back(&mut self, engine: &mut ToggleEngine<'_, '_>, commits: &[NodeId]) {
+        for &v in commits.iter().rev() {
+            self.toggle_tracked(engine, v);
+        }
+        self.stats.undo_commits += commits.len() as u64;
+        engine.relabel_components();
+    }
+
+    /// Toggles `v` through the engine and settles the cache with the
+    /// commit's marks ([`GainCache::commit_tracked`]).
+    fn toggle_tracked(&mut self, engine: &mut ToggleEngine<'_, '_>, v: NodeId) {
         self.hull.reset(self.entries.len());
         // The full class is marked straight into the dirty set. `hull_ok`
         // holds only clean entries, so dropping every dirty bit from it
@@ -203,20 +266,34 @@ impl GainCache {
         self.hull_ok.subtract(&self.dirty);
 
         // Hull growth: `hull_ok` holds only clean entering entries, so
-        // its overlap with the growth cones is exactly the set of bits
-        // that flip to false.
+        // its overlap with each growth cone is exactly the set of bits
+        // that flip to false, and the cone's apex is their witness.
         let (entries, hull_ok) = (&mut self.entries, &mut self.hull_ok);
-        self.hull.lost.for_each_word(|wi, w| {
-            let flips = w & hull_ok.word(wi);
-            for_each_bit(wi, flips, |u| {
-                entries[u].local_convex = false;
-                hull_ok.remove(NodeId::from_index(u));
+        let reach = engine.ctx().reach();
+        let below = self
+            .hull
+            .lost_below
+            .iter()
+            .map(|&x| (x, reach.descendants(x)));
+        let above = self
+            .hull
+            .lost_above
+            .iter()
+            .map(|&x| (x, reach.ancestors(x)));
+        for (x, cone) in below.chain(above) {
+            cone.for_each_word(|wi, w| {
+                let flips = w & hull_ok.word(wi);
+                for_each_bit(wi, flips, |u| {
+                    entries[u].local_convex = false;
+                    entries[u].hull_witness = Some(x);
+                    hull_ok.remove(NodeId::from_index(u));
+                });
             });
-        });
+        }
 
         // Hull shrink: clean entering entries (outside the cut) whose
-        // bit is clear may have regained it — unless their witness is
-        // still outside the cut, and so still fails them.
+        // bit is clear may have regained it — unless their witness
+        // still fails them.
         let (cut, dirty) = (engine.cut(), &self.dirty);
         let retests = &mut self.stats.hull_retests;
         self.hull.regained.for_each_word(|wi, w| {
@@ -224,14 +301,17 @@ impl GainCache {
             let mut flips = 0u64;
             for_each_bit(wi, candidates, |u| {
                 let e = &mut entries[u];
-                if e.hull_witness.is_some_and(|w| !cut.contains(w)) {
+                let u = NodeId::from_index(u);
+                if e.hull_witness
+                    .is_some_and(|w| engine.hull_witness_holds(u, w))
+                {
                     return;
                 }
                 *retests += 1;
-                e.hull_witness = engine.entering_hull_witness(NodeId::from_index(u));
+                e.hull_witness = engine.entering_hull_witness(u);
                 if e.hull_witness.is_none() {
                     e.local_convex = true;
-                    flips |= 1 << (u % 64);
+                    flips |= 1 << (u.index() % 64);
                 }
             });
             hull_ok.union_word(wi, flips);
@@ -242,18 +322,31 @@ impl GainCache {
     /// from cached local terms when clean, freshly evaluated (and
     /// re-cached) when dirty. Always equal to `engine.probe(v)`.
     pub fn probe(&mut self, engine: &ToggleEngine<'_, '_>, v: NodeId) -> Probe {
-        let vi = v.index();
-        if self.dirty.remove(v) {
-            let e = fresh_entry(engine, v);
-            self.entries[vi] = e;
-            if e.entering && e.local_convex {
-                self.hull_ok.insert(v);
-            }
+        if self.dirty.contains(v) {
+            self.refresh_entry(engine, v);
             self.stats.fresh_probes += 1;
         } else {
             self.stats.cached_probes += 1;
         }
-        let e = self.entries[vi];
+        self.recombine(engine, v)
+    }
+
+    /// Re-evaluates `v`'s entry against the engine's cut and marks it
+    /// clean.
+    fn refresh_entry(&mut self, engine: &ToggleEngine<'_, '_>, v: NodeId) {
+        let e = fresh_entry(engine, v);
+        self.entries[v.index()] = e;
+        self.dirty.remove(v);
+        if e.entering && e.local_convex {
+            self.hull_ok.insert(v);
+        }
+    }
+
+    /// The probe of clean node `v`: its cached local terms recombined
+    /// with the engine's current global terms. Counts nothing.
+    pub(crate) fn recombine(&self, engine: &ToggleEngine<'_, '_>, v: NodeId) -> Probe {
+        debug_assert!(!self.dirty.contains(v), "recombining dirty entry {v}");
+        let e = self.entries[v.index()];
         let ctx = engine.ctx();
         let inputs = engine.input_count() as i32 + e.di;
         let outputs = engine.output_count() as i32 + e.dout;
@@ -358,9 +451,10 @@ impl GainCache {
                 ));
             }
             if let Some(w) = e.hull_witness {
-                if !engine.cut().contains(w) && !engine.hull_witness_holds(v, w) {
+                let reach = engine.ctx().reach();
+                if !reach.ancestors(v).contains(w) && !reach.descendants(v).contains(w) {
                     out.push(format!(
-                        "cache n{vi}: hull witness n{} outside the cut no longer fails it",
+                        "cache n{vi}: hull witness n{} is no ancestor or descendant",
                         w.index()
                     ));
                 }
@@ -525,6 +619,8 @@ mod tests {
             cached_probes: 3,
             fresh_probes: 1,
             commits: 2,
+            undo_commits: 4,
+            table_fills: 9,
             trajectories: 1,
             arena_reuses: 0,
             arena_allocs: 1,
@@ -537,6 +633,8 @@ mod tests {
             cached_probes: 1,
             fresh_probes: 3,
             commits: 1,
+            undo_commits: 3,
+            table_fills: 11,
             trajectories: 2,
             arena_reuses: 2,
             arena_allocs: 0,
@@ -549,6 +647,8 @@ mod tests {
         assert_eq!(a.cached_probes, 4);
         assert_eq!(a.fresh_probes, 4);
         assert_eq!(a.commits, 3);
+        assert_eq!(a.undo_commits, 7);
+        assert_eq!(a.table_fills, 20);
         assert_eq!(a.trajectories, 3);
         assert_eq!(a.arena_reuses, 2);
         assert_eq!(a.arena_allocs, 1);

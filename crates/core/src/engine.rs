@@ -21,12 +21,14 @@ use isegen_graph::{NodeId, NodeSet};
 /// (`tests/engine_prop.rs`), substituting for the rule-table proofs the
 /// paper defers to its technical report.
 ///
-/// Commits refresh the heavier derived state *incrementally*: an entering
-/// toggle extends the reachability masks by one word-level union and
-/// recomputes longest-path values only for cut nodes downstream/upstream
-/// of the toggled node; a leaving toggle rebuilds cut-local state in
-/// O(|C|·(deg + n/64)). Neither path walks the whole graph or allocates.
-/// Per-*candidate* probes cost O(deg + n/64) with no scratch-set writes.
+/// Commits refresh the heavier derived state *incrementally*: both
+/// directions recompute longest-path values only for the cut nodes whose
+/// value actually moves, and record what changed in the hull masks; an
+/// entering toggle extends those masks by one word-level union and
+/// merges component labels, a leaving toggle rebuilds the masks and
+/// components from the cut in O(|C|·(deg + n/64)). Neither path walks the
+/// whole graph or allocates. Per-*candidate* probes cost O(deg + n/64)
+/// with no scratch-set writes.
 #[derive(Debug)]
 pub struct ToggleEngine<'c, 'a> {
     ctx: &'c BlockContext<'a>,
@@ -67,7 +69,9 @@ pub struct ToggleEngine<'c, 'a> {
     order_scratch_b: Vec<NodeId>,
     queue_scratch: Vec<NodeId>,
     // Commit-delta capture for precision cache invalidation
-    // (`toggle_and_mark`): populated by every entering refresh.
+    // (`toggle_and_mark`): populated by every refresh. The hull deltas
+    // hold the bits an entering commit added to `below`/`above`, or the
+    // bits a leaving commit removed from `below_ext`/`above_ext`.
     hull_delta_below: Vec<(usize, u64)>,
     hull_delta_above: Vec<(usize, u64)>,
     changed_up: Vec<NodeId>,
@@ -114,26 +118,32 @@ pub(crate) struct EngineArena {
     bfs_visited: NodeSet,
 }
 
-/// The hull-only marks of one entering commit
+/// The hull-only marks of one commit, entering or leaving
 /// ([`ToggleEngine::toggle_and_mark`]): nodes whose only cone-local
 /// probe term that can have moved is the entering hull bit
 /// ([`ToggleEngine::entering_hull_ok`]), by the one direction each rule
 /// can move it in.
 #[derive(Debug, Default)]
 pub(crate) struct HullMarks {
-    /// Hull growth: every node here that is outside the cut now fails
-    /// `entering_hull_ok` — settled with no probe.
-    pub(crate) lost: NodeSet,
+    /// Hull growth on the floor side: nodes outside the cut that joined
+    /// `below_ext`. Each fails `entering_hull_ok` for every non-cut
+    /// descendant, and is its witness — settled with no probe.
+    pub(crate) lost_below: Vec<NodeId>,
+    /// Hull growth on the ceiling side: nodes outside the cut that
+    /// joined `above_ext`, failing every non-cut ancestor.
+    pub(crate) lost_above: Vec<NodeId>,
     /// Hull shrink: nodes whose failing `entering_hull_ok` may have
     /// turned true — settled by re-testing just that term, and only
-    /// where the cached witness of the failure has entered the cut.
+    /// where the cached witness of the failure no longer holds
+    /// ([`ToggleEngine::hull_witness_holds`]).
     pub(crate) regained: NodeSet,
 }
 
 impl HullMarks {
-    /// Empties both sets for a block of `n` nodes.
+    /// Empties the marks for a block of `n` nodes.
     pub(crate) fn reset(&mut self, n: usize) {
-        self.lost.reset(n);
+        self.lost_below.clear();
+        self.lost_above.clear();
         self.regained.reset(n);
     }
 }
@@ -141,6 +151,18 @@ impl HullMarks {
 /// Number of edges from `p` in the operand list `preds`.
 fn mult(preds: &[NodeId], p: NodeId) -> usize {
     preds.iter().filter(|&&q| q == p).count()
+}
+
+/// Records in `delta` the bits of `a` that are not in `b`, word by
+/// word, as `(word index, bits)`.
+fn capture_difference(a: &NodeSet, b: &NodeSet, delta: &mut Vec<(usize, u64)>) {
+    delta.clear();
+    a.for_each_word(|wi, w| {
+        let only_a = w & !b.word(wi);
+        if only_a != 0 {
+            delta.push((wi, only_a));
+        }
+    });
 }
 
 /// The predicted effect of toggling one node, produced by
@@ -484,45 +506,48 @@ impl<'c, 'a> ToggleEngine<'c, 'a> {
     /// cut's own convexity and size — is O(1)-readable from the engine
     /// and re-read at recombination time, so no commit ever needs a mass
     /// invalidation, and the marks only have to cover the cached
-    /// cone-local terms. For the dominant **entering** commits they are
+    /// cone-local terms. For entering and leaving commits alike they are
     /// assembled *exactly* from the state the refresh just touched,
     /// instead of the full `anc(v) ∪ desc(v)` cones (which cover most of
     /// a deep block like AES). Into `full`:
     ///
     /// * adjacency — `{v}` and `v`'s neighbours (ΔI/ΔO and `N(v,C)`
     ///   terms), plus the consumers `u` of each producer `p` of `v`
-    ///   whose ΔI/ΔO reads `p` across a threshold the commit crossed:
-    ///   `p`'s cut-directed edge count rose by `mult(p,v)`, which for
-    ///   `p ∉ C` flips every consumer's supplier term iff it was 0, and
-    ///   otherwise only a sole in-cut consumer's; for `p ∈ C` (not
-    ///   live-out) it flips a non-cut consumer's output term iff that
-    ///   consumer now holds all of `p`'s escaping edges, and an in-cut
-    ///   one's iff `p` no longer escapes at all;
+    ///   whose ΔI/ΔO reads `p`'s cut-directed edge count across a
+    ///   threshold the commit crossed
+    ///   ([`ToggleEngine::mark_shared_producer`]);
     /// * longest paths — neighbours of cut nodes whose `up`/`down`
     ///   values actually moved (`entering_through` reads them);
     /// * leave terms — cut members inside `v`'s cones
-    ///   (`leaving_local_ok` reads `cut ∩ anc/desc(u)`, which gained
-    ///   `v`).
+    ///   (`leaving_local_ok` reads `cut ∩ anc/desc(u)`, which gained or
+    ///   lost `v`).
     ///
-    /// Into `hull` — the hull term is monotone within one entering
-    /// commit, so each rule can move it one way only:
+    /// Into `hull` — the hull term reads `anc(u) ∩ below_ext` and
+    /// `desc(u) ∩ above_ext`, so it can only be lost where an ext mask
+    /// gained a bit, and only regained where one lost a bit:
     ///
-    /// * hull growth (`hull.lost`) — for each node the commit *actually
-    ///   added* to a hull mask (captured word-level during the union),
-    ///   the cone on the side that reads it: a new floor/ceiling member
-    ///   `x` outside the cut makes every non-cut descendant/ancestor of
-    ///   `x` fail `entering_hull_ok` outright;
-    /// * hull shrink (`hull.regained`) — `v` itself left
+    /// * entering, hull growth (`hull.lost_below`/`lost_above`) — each
+    ///   node the commit *actually added* to a hull mask (captured
+    ///   word-level during the union), outside the cut: a new
+    ///   floor/ceiling member `x` makes every non-cut
+    ///   descendant/ancestor of `x` fail `entering_hull_ok` outright,
+    ///   with `x` as the witness;
+    /// * entering, hull shrink (`hull.regained`) — `v` itself left
     ///   `below_ext`/`above_ext`; that can turn `entering_hull_ok(u)`
     ///   true only where the intersection was exactly `{v}`, which
     ///   forces every `v → u` path interior into the cut — so `u` is a
     ///   non-cut descendant/ancestor of `v` with an in-cut neighbour, a
     ///   superset three word-ops per word wide (`desc(v) ∩ fed_by_cut \
-    ///   cut`, resp. `anc ∩ feeds_cut \ cut`).
+    ///   cut`, resp. `anc ∩ feeds_cut \ cut`);
+    /// * leaving, hull shrink (`hull.regained`) — the cones of the bits
+    ///   that left `below_ext`/`above_ext` (captured word-level by the
+    ///   rebuild): descendants of a lost floor bit, ancestors of a lost
+    ///   ceiling bit;
+    /// * leaving, hull growth (`hull.lost_below`/`lost_above`) — `v`
+    ///   itself joined `below_ext` (resp. `above_ext`), so its non-cut
+    ///   descendants (resp. ancestors) fail outright, with `v` as the
+    ///   witness.
     ///
-    /// **Leaving** commits are rare in a K-L pass (each node toggles
-    /// once, and cuts are small relative to the block), so they keep the
-    /// conservative cone-and-producer cover, all of it in `full`.
     /// `tests/gain_cache_prop.rs` and the exhaustive sweeps below hold
     /// all of this to account: a node outside `full` has unchanged
     /// non-hull terms, a node outside `full ∪ hull` an unchanged hull
@@ -544,77 +569,58 @@ impl<'c, 'a> ToggleEngine<'c, 'a> {
             full.insert(p);
         }
 
-        if !entering {
-            // Leaving: cut-local rebuild; the cone cover plus every
-            // shared-producer consumer is exact enough.
-            for &p in preds {
-                for &u in dag.succs(p) {
-                    full.insert(u);
-                }
-            }
-            full.union_with(reach.ancestors(v));
-            full.union_with(reach.descendants(v));
-            return;
-        }
-
         // Shared producers: consumers of each distinct producer whose
         // I/O terms read it across a threshold this commit crossed.
         for (i, &p) in preds.iter().enumerate() {
             if !preds[..i].contains(&p) {
-                self.mark_shared_producer(p, mult(preds, p), full);
+                self.mark_shared_producer(p, mult(preds, p), entering, full);
             }
         }
 
-        // Hull growth: descendants of every new `below` bit, ancestors
-        // of every new `above` bit (cut members never sit in the ext
-        // masks, so they are skipped).
-        for delta_i in 0..self.hull_delta_below.len() {
-            let (wi, mut bits) = self.hull_delta_below[delta_i];
-            while bits != 0 {
-                let b = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let x = NodeId::from_index(wi * 64 + b);
-                if !self.cut.contains(x) {
-                    hull.lost.union_with(reach.descendants(x));
-                }
-            }
-        }
-        for delta_i in 0..self.hull_delta_above.len() {
-            let (wi, mut bits) = self.hull_delta_above[delta_i];
-            while bits != 0 {
-                let b = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let x = NodeId::from_index(wi * 64 + b);
-                if !self.cut.contains(x) {
-                    hull.lost.union_with(reach.ancestors(x));
-                }
-            }
-        }
+        if entering {
+            // Hull growth: the apexes of the new `below`/`above` bits
+            // outside the cut (cut members never sit in the ext masks).
+            self.for_each_delta_apex(v, true, |x| hull.lost_below.push(x));
+            self.for_each_delta_apex(v, false, |x| hull.lost_above.push(x));
 
-        // Hull shrink: v left the ext masks. The affected nodes sit at
-        // the non-cut frontier of cut-interior paths from v — every one
-        // is a descendant (resp. ancestor) of v, outside the cut, with
-        // an in-cut producer (resp. consumer). That superset is three
-        // word-ops per word, with no per-commit walk of the cut.
-        if was_below_ext {
-            let fed = &self.fed_by_cut;
-            let cut = &self.cut;
-            reach.descendants(v).for_each_word(|wi, w| {
-                let m = w & fed.word(wi) & !cut.word(wi);
-                if m != 0 {
-                    hull.regained.union_word(wi, m);
-                }
-            });
-        }
-        if was_above_ext {
-            let feeds = &self.feeds_cut;
-            let cut = &self.cut;
-            reach.ancestors(v).for_each_word(|wi, w| {
-                let m = w & feeds.word(wi) & !cut.word(wi);
-                if m != 0 {
-                    hull.regained.union_word(wi, m);
-                }
-            });
+            // Hull shrink: v left the ext masks. The affected nodes sit
+            // at the non-cut frontier of cut-interior paths from v —
+            // every one is a descendant (resp. ancestor) of v, outside
+            // the cut, with an in-cut producer (resp. consumer). That
+            // superset is three word-ops per word, with no per-commit
+            // walk of the cut.
+            if was_below_ext {
+                let fed = &self.fed_by_cut;
+                let cut = &self.cut;
+                reach.descendants(v).for_each_word(|wi, w| {
+                    let m = w & fed.word(wi) & !cut.word(wi);
+                    if m != 0 {
+                        hull.regained.union_word(wi, m);
+                    }
+                });
+            }
+            if was_above_ext {
+                let feeds = &self.feeds_cut;
+                let cut = &self.cut;
+                reach.ancestors(v).for_each_word(|wi, w| {
+                    let m = w & feeds.word(wi) & !cut.word(wi);
+                    if m != 0 {
+                        hull.regained.union_word(wi, m);
+                    }
+                });
+            }
+        } else {
+            // Hull shrink: the cones of the bits that left an ext mask,
+            // one per apex.
+            self.for_each_delta_apex(v, true, |x| hull.regained.union_with(reach.descendants(x)));
+            self.for_each_delta_apex(v, false, |x| hull.regained.union_with(reach.ancestors(x)));
+            // Hull growth: v rejoined the ext masks it now sits in.
+            if self.below_ext.contains(v) {
+                hull.lost_below.push(v);
+            }
+            if self.above_ext.contains(v) {
+                hull.lost_above.push(v);
+            }
         }
 
         // Longest-path moves: `entering_through(u)` reads the up/down
@@ -631,7 +637,7 @@ impl<'c, 'a> ToggleEngine<'c, 'a> {
         }
 
         // Leave terms: cut members in v's cones see `cut ∩ anc/desc`
-        // gain v.
+        // gain or lose v.
         {
             let cut = &self.cut;
             reach.descendants(v).for_each_word(|wi, w| {
@@ -649,37 +655,80 @@ impl<'c, 'a> ToggleEngine<'c, 'a> {
         }
     }
 
+    /// Calls `f` with each apex of the latest commit's hull delta outside
+    /// the cut, `D`, on the `below` side (else the `above` side): the
+    /// nodes of `D` with no predecessor (successor) in `D`. Every other
+    /// node of `D` is a descendant (ancestor) of an apex, so the apexes'
+    /// cones cover the cones of all of `D`.
+    ///
+    /// `D` lies in `v`'s cone on that side, and a neighbour `p` on the
+    /// path back to `v` of a node `x ∈ D` is in `D` iff it is in that
+    /// cone and outside the cut: an entering commit adds `x` to `below`
+    /// only if `p` was not there already, and a leaving one removes `x`
+    /// only if no remaining cut member reaches `p`. So the apex test is
+    /// O(deg) bit tests, with no set of `D` built.
+    fn for_each_delta_apex(&self, v: NodeId, below: bool, mut f: impl FnMut(NodeId)) {
+        let reach = self.ctx.reach();
+        let dag = self.ctx.block().dag();
+        let (delta, cone) = if below {
+            (&self.hull_delta_below, reach.descendants(v))
+        } else {
+            (&self.hull_delta_above, reach.ancestors(v))
+        };
+        let in_delta = |p: &NodeId| cone.contains(*p) && !self.cut.contains(*p);
+        for &(wi, mut bits) in delta {
+            bits &= !self.cut.word(wi);
+            while bits != 0 {
+                let x = NodeId::from_index(wi * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+                let back = if below { dag.preds(x) } else { dag.succs(x) };
+                if !back.iter().any(in_delta) {
+                    f(x);
+                }
+            }
+        }
+    }
+
     /// Marks the consumers `u` of producer `p` whose ΔI/ΔO terms read
-    /// `p` differently after an entering commit that added `mult_v`
-    /// edges from `p` into the cut (see [`ToggleEngine::io_after`]):
+    /// `p` differently after a commit that moved `mult_v` edges from `p`
+    /// across the cut boundary (see [`ToggleEngine::io_after`]). With
+    /// `f` the count of `p`'s cut-directed edges while `v` is *outside*
+    /// the cut, and `o` the count of `p`'s edges to non-cut nodes while
+    /// `v` is *inside* it:
     ///
     /// * `p ∉ C` — an entering `u` counts `p` as a new supplier iff
-    ///   `fanout_to_cut[p] == 0`, which held before and fails now iff
-    ///   the old count `f` was 0; an in-cut `u` drops `p` as a supplier
-    ///   iff `fanout_to_cut[p] == mult(p,u)`, which fails now and held
-    ///   before iff `f == mult(p,u)`.
-    /// * `p ∈ C`, not live-out — with `o` the edges from `p` to non-cut
-    ///   nodes *after* the commit, an entering `u` retires `p` as an
-    ///   output iff `o == mult(p,u)` (before, `o + mult_v` also counted
-    ///   `v`'s edges, so it never held); an in-cut `u` revives it iff
-    ///   `o == 0` (before, `v`'s edges escaped).
-    fn mark_shared_producer(&self, p: NodeId, mult_v: usize, full: &mut NodeSet) {
+    ///   `fanout_to_cut[p] == 0`, which flips iff `f == 0`; an in-cut
+    ///   `u ≠ v` drops `p` as a supplier iff `fanout_to_cut[p] ==
+    ///   mult(p,u)`, which holds on the `v`-outside side only, and
+    ///   flips iff `f == mult(p,u)`.
+    /// * `p ∈ C`, not live-out — an entering `u ≠ v` retires `p` as an
+    ///   output iff `p`'s escaping edge count equals `mult(p,u)`, which
+    ///   holds on the `v`-inside side only, and flips iff `o ==
+    ///   mult(p,u)`; an in-cut `u` revives it iff that count is 0, which
+    ///   flips iff `o == 0`.
+    ///
+    /// `v` itself is in the adjacency marks either way.
+    fn mark_shared_producer(&self, p: NodeId, mult_v: usize, entering: bool, full: &mut NodeSet) {
         let dag = self.ctx.block().dag();
         let fanout = self.fanout_to_cut[p.index()] as usize;
+        let (outside_v, inside_v) = if entering {
+            (fanout - mult_v, fanout)
+        } else {
+            (fanout, fanout + mult_v)
+        };
         if !self.cut.contains(p) {
-            let before = fanout - mult_v;
             for &u in dag.succs(p) {
-                if before == 0 || (self.cut.contains(u) && mult(dag.preds(u), p) == before) {
+                if outside_v == 0 || (self.cut.contains(u) && mult(dag.preds(u), p) == outside_v) {
                     full.insert(u);
                 }
             }
         } else if !self.ctx.block().is_live_out(p) {
-            let outside = dag.out_degree(p) - fanout;
+            let escaping = dag.out_degree(p) - inside_v;
             for &u in dag.succs(p) {
                 let hit = if self.cut.contains(u) {
-                    outside == 0
+                    escaping == 0
                 } else {
-                    mult(dag.preds(u), p) == outside
+                    mult(dag.preds(u), p) == escaping
                 };
                 if hit {
                     full.insert(u);
@@ -803,10 +852,11 @@ impl<'c, 'a> ToggleEngine<'c, 'a> {
 
     /// The node that fails [`ToggleEngine::entering_hull_ok`] for `v`:
     /// the smallest of `anc(v) ∩ below_ext`, else of `desc(v) ∩
-    /// above_ext`; `None` when `v` passes. Within entering commits an
-    /// ext node leaves the masks only by entering the cut, so a witness
-    /// outside the cut still fails `v` — the gain cache re-tests a
-    /// failing entry only once its witness has entered.
+    /// above_ext`; `None` when `v` passes. The gain cache keeps it as a
+    /// hint: while [`ToggleEngine::hull_witness_holds`] it keeps failing
+    /// `v`, so hull shrink re-tests a failing entry only once its
+    /// witness has left the ext masks — by entering the cut, or by a
+    /// leaving commit shrinking the hull.
     pub(crate) fn entering_hull_witness(&self, v: NodeId) -> Option<NodeId> {
         let reach = self.ctx.reach();
         reach
@@ -815,13 +865,22 @@ impl<'c, 'a> ToggleEngine<'c, 'a> {
             .or_else(|| reach.descendants(v).first_common(&self.above_ext))
     }
 
-    /// Whether `w` still fails the entering hull test of `v`: it sits in
-    /// `anc(v) ∩ below_ext` or in `desc(v) ∩ above_ext`. Audit mode
-    /// checks the gain cache's witnesses with it.
+    /// Whether `w`, an ancestor or descendant of `v`, still fails the
+    /// entering hull test of `v`: it sits in `anc(v) ∩ below_ext` or in
+    /// `desc(v) ∩ above_ext`. Every witness is such a relative, and node
+    /// ids are a topological order, so the side is `w < v` and the test
+    /// is one bit, with no read of the reachability rows.
     pub(crate) fn hull_witness_holds(&self, v: NodeId, w: NodeId) -> bool {
         let reach = self.ctx.reach();
-        (reach.ancestors(v).contains(w) && self.below_ext.contains(w))
-            || (reach.descendants(v).contains(w) && self.above_ext.contains(w))
+        debug_assert!(
+            reach.ancestors(v).contains(w) || reach.descendants(v).contains(w),
+            "witness {w} is no relative of {v}"
+        );
+        if w.index() < v.index() {
+            self.below_ext.contains(w)
+        } else {
+            self.above_ext.contains(w)
+        }
     }
 
     /// The cone-local half of the leaving-convexity test: out of a
@@ -929,90 +988,24 @@ impl<'c, 'a> ToggleEngine<'c, 'a> {
         // Word-zip capture of the bits `v`'s cones are about to add
         // to the hull masks — the *exact* growth of `below`/`above`,
         // from which `toggle_and_mark` derives its invalidation set.
-        self.hull_delta_below.clear();
-        {
-            let below = &self.below;
-            let delta = &mut self.hull_delta_below;
-            reach.descendants(v).for_each_word(|wi, w| {
-                let added = w & !below.word(wi);
-                if added != 0 {
-                    delta.push((wi, added));
-                }
-            });
-        }
-        self.hull_delta_above.clear();
-        {
-            let above = &self.above;
-            let delta = &mut self.hull_delta_above;
-            reach.ancestors(v).for_each_word(|wi, w| {
-                let added = w & !above.word(wi);
-                if added != 0 {
-                    delta.push((wi, added));
-                }
-            });
-        }
+        capture_difference(
+            reach.descendants(v),
+            &self.below,
+            &mut self.hull_delta_below,
+        );
+        capture_difference(reach.ancestors(v), &self.above, &mut self.hull_delta_above);
         self.below.union_with(reach.descendants(v));
         self.above.union_with(reach.ancestors(v));
 
-        // Longest paths: an entering toggle only *lengthens* in-cut
-        // paths, so instead of recomputing every cut member in v's
-        // cones, propagate the increase outward from v and stop where a
-        // value is unchanged. Node ids are a topological order and every
-        // push lands on the far side of the cursor, so walking the
-        // visited bits in id order (`up`: ascending from v; `down`:
-        // descending) recomputes a node only after all of its moved
-        // predecessors settled — each affected node exactly once, with
-        // values identical to the full sweep.
-        let dag = ctx.block().dag();
+        // Longest paths: only cut nodes downstream/upstream of v whose
+        // value actually moves are recomputed.
         self.recompute_up(v);
-        self.changed_up.clear();
-        self.bfs_visited.reset(ctx.node_count());
-        for &s in dag.succs(v) {
-            if self.cut.contains(s) {
-                self.bfs_visited.insert(s);
-            }
-        }
-        let mut cursor = v.index();
-        while let Some(wi) = self.bfs_visited.next_set(cursor + 1) {
-            cursor = wi;
-            let w = NodeId::from_index(wi);
-            let old = self.up[wi];
-            self.recompute_up(w);
-            if self.up[wi] != old {
-                self.changed_up.push(w);
-                for &s in dag.succs(w) {
-                    if self.cut.contains(s) {
-                        self.bfs_visited.insert(s);
-                    }
-                }
-            }
-        }
-
+        self.propagate_up(v);
         self.recompute_down(v);
-        self.changed_down.clear();
-        self.bfs_visited.reset(ctx.node_count());
-        for &p in dag.preds(v) {
-            if self.cut.contains(p) {
-                self.bfs_visited.insert(p);
-            }
-        }
-        let mut cursor = v.index();
-        while let Some(wi) = self.bfs_visited.prev_set(cursor) {
-            cursor = wi;
-            let w = NodeId::from_index(wi);
-            let old = self.down[wi];
-            self.recompute_down(w);
-            if self.down[wi] != old {
-                self.changed_down.push(w);
-                for &p in dag.preds(w) {
-                    if self.cut.contains(p) {
-                        self.bfs_visited.insert(p);
-                    }
-                }
-            }
-        }
+        self.propagate_down(v);
 
         // Components: v attaches to the components of its cut neighbours.
+        let dag = ctx.block().dag();
         let mut first_label = OUTSIDE;
         let mut merges = false;
         for &w in dag.preds(v).iter().chain(dag.succs(v)) {
@@ -1066,9 +1059,11 @@ impl<'c, 'a> ToggleEngine<'c, 'a> {
         self.refresh_derived_masks();
     }
 
-    /// Refresh after `v` *left* the cut: cut-local rebuild of the masks
-    /// and components (removal can shrink hulls and split components),
-    /// partial longest-path recompute as for entering. O(|C|·(deg+n/64)),
+    /// Refresh after `v` *left* the cut: cut-local rebuild of the hull
+    /// masks and components (removal can shrink hulls and split
+    /// components), with the bits that leave `below_ext`/`above_ext`
+    /// captured word-level for `toggle_and_mark`, and the longest-path
+    /// propagation of the entering refresh. O(|C|·(deg+n/64)),
     /// allocation-free.
     fn refresh_leaving(&mut self, v: NodeId) {
         let ctx = self.ctx;
@@ -1084,24 +1079,92 @@ impl<'c, 'a> ToggleEngine<'c, 'a> {
             self.below.union_with(reach.descendants(w));
             self.above.union_with(reach.ancestors(w));
         }
+        // The ext masks still hold the old cut's hull; v was in that
+        // cut, so a bit leaves an ext mask exactly when it leaves the
+        // rebuilt hull mask.
+        capture_difference(&self.below_ext, &self.below, &mut self.hull_delta_below);
+        capture_difference(&self.above_ext, &self.above, &mut self.hull_delta_above);
 
-        self.collect_cut_members(reach.descendants(v));
-        let affected_up = std::mem::take(&mut self.order_scratch);
-        for &w in &affected_up {
-            self.recompute_up(w);
-        }
-        self.order_scratch = affected_up;
-
-        self.collect_cut_members(reach.ancestors(v));
-        let affected_down = std::mem::take(&mut self.order_scratch);
-        for &w in affected_down.iter().rev() {
-            self.recompute_down(w);
-        }
-        self.order_scratch = affected_down;
+        self.propagate_up(v);
+        self.propagate_down(v);
 
         self.rebuild_components();
         self.rebuild_comp_cp();
         self.refresh_derived_masks();
+    }
+
+    /// Re-derives `up` for the cut nodes downstream of `v`, the node
+    /// just toggled (its own value already set), recording every node
+    /// whose value moved in `changed_up`. Starting from v's in-cut
+    /// successors, a node's in-cut successors are queued only when its
+    /// value moved. Node ids are a topological order and every push
+    /// lands on the far side of the cursor, so walking the queued bits
+    /// in ascending order recomputes a node only after all of its moved
+    /// predecessors settled — each affected node exactly once, with
+    /// values identical to the full sweep.
+    fn propagate_up(&mut self, v: NodeId) {
+        let dag = self.ctx.block().dag();
+        self.changed_up.clear();
+        self.bfs_visited.reset(self.ctx.node_count());
+        for &s in dag.succs(v) {
+            if self.cut.contains(s) {
+                self.bfs_visited.insert(s);
+            }
+        }
+        let mut cursor = v.index();
+        while let Some(wi) = self.bfs_visited.next_set(cursor + 1) {
+            cursor = wi;
+            let w = NodeId::from_index(wi);
+            let old = self.up[wi];
+            self.recompute_up(w);
+            if self.up[wi] != old {
+                self.changed_up.push(w);
+                for &s in dag.succs(w) {
+                    if self.cut.contains(s) {
+                        self.bfs_visited.insert(s);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The upstream mirror of [`ToggleEngine::propagate_up`]: `down`
+    /// values, walked in descending id order, into `changed_down`.
+    fn propagate_down(&mut self, v: NodeId) {
+        let dag = self.ctx.block().dag();
+        self.changed_down.clear();
+        self.bfs_visited.reset(self.ctx.node_count());
+        for &p in dag.preds(v) {
+            if self.cut.contains(p) {
+                self.bfs_visited.insert(p);
+            }
+        }
+        let mut cursor = v.index();
+        while let Some(wi) = self.bfs_visited.prev_set(cursor) {
+            cursor = wi;
+            let w = NodeId::from_index(wi);
+            let old = self.down[wi];
+            self.recompute_down(w);
+            if self.down[wi] != old {
+                self.changed_down.push(w);
+                for &p in dag.preds(w) {
+                    if self.cut.contains(p) {
+                        self.bfs_visited.insert(p);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Relabels the cut's components in the canonical order of a fresh
+    /// build and recomputes their critical paths and sum. The labels an
+    /// incremental merge leaves behind can differ from that order, and
+    /// the summed critical path is a float sum in label order, so a
+    /// rollback ends here to leave every gain bit-identical to an engine
+    /// built from the same cut. O(|C|·deg).
+    pub(crate) fn relabel_components(&mut self) {
+        self.rebuild_components();
+        self.rebuild_comp_cp();
     }
 
     /// Full derived-state rebuild, used at construction time only (the
@@ -1127,26 +1190,6 @@ impl<'c, 'a> ToggleEngine<'c, 'a> {
         self.rebuild_components();
         self.rebuild_comp_cp();
         self.refresh_derived_masks();
-    }
-
-    /// Fills `order_scratch` with `cut ∩ within` in ascending id
-    /// (topological) order.
-    fn collect_cut_members(&mut self, within: &NodeSet) {
-        self.order_scratch.clear();
-        {
-            // Word-zip of the two bitsets: touch only words where both
-            // the cone and the cut have bits.
-            let cut = &self.cut;
-            let scratch = &mut self.order_scratch;
-            within.for_each_word(|wi, w| {
-                let mut m = w & cut.word(wi);
-                while m != 0 {
-                    let b = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    scratch.push(NodeId::from_index(wi * 64 + b));
-                }
-            });
-        }
     }
 
     /// Recomputes `up[w]` from `w`'s in-cut predecessors (which must
@@ -1695,33 +1738,65 @@ pub(crate) mod tests {
         )
     }
 
+    /// What [`check_marks`] saw of the leaving commits: how many there
+    /// were, how many full classes were strictly smaller than `anc(v) ∪
+    /// desc(v)`, and the two sizes summed.
+    #[derive(Debug, Default)]
+    struct LeavingMarks {
+        commits: usize,
+        narrower: usize,
+        full: usize,
+        cones: usize,
+    }
+
     /// Drives `toggles` through `toggle_and_mark` and checks the two
     /// mark classes after every commit: a node whose non-hull terms
     /// changed is in `full`; a node whose hull bit was cleared is in
-    /// `full ∪ hull.lost`, one whose bit was set in `full ∪
-    /// hull.regained`; and every non-cut node of `hull.lost` really
-    /// fails `entering_hull_ok`. There is no full-invalidation escape
-    /// hatch, so the marks alone must cover every change.
-    fn check_marks(ctx: &BlockContext<'_>, toggles: &[NodeId]) {
+    /// `full ∪ lost` (the cones of the lost-hull witnesses), one whose
+    /// bit was set in `full ∪ hull.regained`; and every lost-hull
+    /// witness really fails every non-cut node of its cone. There is no
+    /// full-invalidation escape hatch, so the marks alone must cover
+    /// every change.
+    fn check_marks(ctx: &BlockContext<'_>, toggles: &[NodeId]) -> LeavingMarks {
         let ids: Vec<NodeId> = ctx.block().dag().node_ids().collect();
         let n = ctx.node_count();
         let mut engine = ToggleEngine::new(ctx);
         let mut full = NodeSet::new(n);
         let mut hull = HullMarks::default();
+        let mut leaving = LeavingMarks::default();
         for &v in toggles {
             let before: Vec<_> = ids.iter().map(|&u| local_terms(&engine, u)).collect();
             full.reset(n);
             hull.reset(n);
             engine.toggle_and_mark(v, &mut full, &mut hull);
-            for (&u, (hull_before, rest_before)) in ids.iter().zip(&before) {
-                let (hull_after, rest_after) = local_terms(&engine, u);
-                if hull.lost.contains(u) && !engine.cut().contains(u) {
-                    assert_eq!(
-                        hull_after,
-                        Some(false),
-                        "hull growth marked hull-ok {u} after {v}"
+            if !engine.cut().contains(v) {
+                let mut cones = ctx.reach().ancestors(v).clone();
+                cones.union_with(ctx.reach().descendants(v));
+                leaving.commits += 1;
+                leaving.narrower += usize::from(full.len() < cones.len());
+                leaving.full += full.len();
+                leaving.cones += cones.len();
+            }
+            let mut lost = NodeSet::new(n);
+            let cones = hull
+                .lost_below
+                .iter()
+                .map(|&x| (x, ctx.reach().descendants(x)));
+            for (x, cone) in cones.chain(
+                hull.lost_above
+                    .iter()
+                    .map(|&x| (x, ctx.reach().ancestors(x))),
+            ) {
+                lost.union_with(cone);
+                for u in cone.iter().filter(|&u| !engine.cut().contains(u)) {
+                    assert!(
+                        engine.hull_witness_holds(u, x),
+                        "lost-hull witness {x} does not fail {u} after {v}"
                     );
                 }
+            }
+            for (&u, (hull_before, rest_before)) in ids.iter().zip(&before) {
+                let (hull_after, rest_after) = local_terms(&engine, u);
                 if full.contains(u) {
                     continue;
                 }
@@ -1731,7 +1806,7 @@ pub(crate) mod tests {
                 );
                 match (hull_before, hull_after) {
                     (Some(true), Some(false)) => assert!(
-                        hull.lost.contains(u),
+                        lost.contains(u),
                         "hull bit of {u} cleared outside full ∪ lost after toggling {v}"
                     ),
                     (Some(false), Some(true)) => assert!(
@@ -1742,6 +1817,7 @@ pub(crate) mod tests {
                 }
             }
         }
+        leaving
     }
 
     #[test]
@@ -1775,5 +1851,25 @@ pub(crate) mod tests {
             })
             .collect();
         check_marks(&ctx, &toggles);
+
+        // Leaving-heavy: runs of 40 ops toggled in, then out in a
+        // different order — every leaving commit shrinks the hulls,
+        // moves longest paths and splits components. The full class of
+        // a leaving commit must stay narrower than the cones it
+        // replaced.
+        let mut toggles = Vec::new();
+        for round in 0..4 {
+            let run: Vec<NodeId> = (0..40)
+                .map(|i| ops[(round * 17 + i * 7) % ops.len()])
+                .collect();
+            toggles.extend(&run);
+            toggles.extend((0..run.len()).map(|i| run[(i * 13 + round) % run.len()]));
+        }
+        let leaving = check_marks(&ctx, &toggles);
+        assert!(leaving.commits >= 100, "{leaving:?}");
+        assert!(
+            leaving.narrower * 4 >= leaving.commits * 3 && leaving.full * 2 < leaving.cones,
+            "leaving commits fell back to the cone cover: {leaving:?}"
+        );
     }
 }

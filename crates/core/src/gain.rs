@@ -1,4 +1,4 @@
-use crate::engine::{Probe, ToggleEngine};
+use crate::engine::Probe;
 use crate::{BlockContext, IoConstraints};
 use isegen_graph::NodeId;
 
@@ -227,23 +227,23 @@ impl GainWeights {
     }
 }
 
-/// Evaluates the gain of toggling `v` against the engine's current cut.
-pub(crate) fn gain_of(
-    engine: &ToggleEngine<'_, '_>,
-    ctx: &BlockContext<'_>,
-    weights: &GainWeights,
-    io: IoConstraints,
-    v: NodeId,
-) -> f64 {
-    let probe = engine.probe(v);
-    weights.combine(ctx, io, v, &probe)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ToggleEngine;
     use isegen_ir::{BlockBuilder, LatencyModel, Opcode};
+
+    /// The gain of toggling `v` against the engine's current cut.
+    fn gain_of(
+        engine: &ToggleEngine<'_, '_>,
+        ctx: &BlockContext<'_>,
+        weights: &GainWeights,
+        io: IoConstraints,
+        v: NodeId,
+    ) -> f64 {
+        let probe = engine.probe(v);
+        weights.combine(ctx, io, v, &probe)
+    }
 
     #[test]
     fn io_violations_are_penalised() {

@@ -2,7 +2,6 @@ use crate::cache::{CacheStats, GainCache};
 use crate::coarsen::{multilevel_search, MultilevelConfig, MultilevelReport};
 use crate::driver::CutFinder;
 use crate::engine::EngineArena;
-use crate::gain::gain_of;
 use crate::{BlockContext, Cut, GainWeights, IoConstraints, IoFloor, ToggleEngine};
 use isegen_graph::{NodeId, NodeSet};
 
@@ -102,8 +101,9 @@ impl SearchConfig {
 
 /// A reusable per-worker search arena: every buffer a K-L trajectory
 /// needs — the [`ToggleEngine`] node sets, the [`GainCache`] entry
-/// table, the pass's candidate list and the pass-best snapshot buffer —
-/// pooled so that trajectory setup is a reset, not an allocation.
+/// table, the pass's candidate and commit lists and the pass-best
+/// snapshot buffer — pooled so that trajectory setup is a copy or a
+/// reset, not an allocation.
 ///
 /// One scratch serves one worker thread; it is reset between
 /// trajectories and between *blocks* (buffers resize to each block,
@@ -114,6 +114,9 @@ impl SearchConfig {
 pub struct SearchScratch {
     arena: EngineArena,
     cache: GainCache,
+    /// The portfolio's start table ([`GainCache::fill`]); only the
+    /// pool's first scratch keeps one, filled before each fan-out.
+    table: GainCache,
     best_nodes: NodeSet,
     /// The cut at pass start; the permanent I/O floor counts only the
     /// committed nodes outside it.
@@ -121,6 +124,9 @@ pub struct SearchScratch {
     /// The unmarked free nodes of the pass: a committed node is swapped
     /// out, so the selection scan reads no mark set.
     unmarked: Vec<NodeId>,
+    /// The pass's commits in order, undone back to the pass best before
+    /// the next pass.
+    pass_commits: Vec<NodeId>,
     /// The pass's permanent I/O floor; the pass ends once it exceeds
     /// the budget.
     floor: IoFloor,
@@ -151,6 +157,15 @@ struct TrajectorySpec<'s> {
     flavour: &'static str,
     seed: Option<NodeId>,
     start: Option<&'s NodeSet>,
+}
+
+/// What every trajectory of one portfolio shares: the free set, as a
+/// set and as an ascending list, and the start table — every free
+/// node's cache entry against the common start cut.
+struct Portfolio<'s> {
+    free: &'s NodeSet,
+    free_nodes: &'s [NodeId],
+    table: &'s GainCache,
 }
 
 /// Everything one [`Search`] run produced: the best cut, the merged
@@ -306,6 +321,11 @@ fn search_impl(
 /// order. With `start` set (multilevel refinement), every trajectory is
 /// seeded from that cut and restart diversification is skipped — the
 /// projected cut already places the trajectory in the right basin.
+///
+/// Every trajectory starts from the same cut (empty, or `start`), so
+/// the free nodes' cache entries against it are evaluated once, before
+/// the fan-out, into a start table that each trajectory copies; the
+/// restart seeds are scored from the same table.
 pub(crate) fn portfolio_search(
     ctx: &BlockContext<'_>,
     io: IoConstraints,
@@ -321,6 +341,20 @@ pub(crate) fn portfolio_search(
         return (Cut::empty(n), stats);
     }
     let free_nodes: Vec<NodeId> = free.iter().collect();
+    if pool.is_empty() {
+        pool.push(SearchScratch::default());
+    }
+    let empty = NodeSet::new(n);
+    let mut table = std::mem::take(&mut pool[0].table);
+    let arena = std::mem::take(&mut pool[0].arena);
+    let engine = ToggleEngine::from_cut_in(ctx, start.unwrap_or(&empty), arena);
+    table.fill(&engine, &free_nodes);
+    stats.absorb(table.stats());
+    let seeds = match start {
+        None => restart_seeds(&engine, &table, io, config, &free_nodes),
+        Some(_) => Vec::new(),
+    };
+    pool[0].arena = engine.into_arena();
 
     // Two gain flavours per trajectory: the configured weights, and a
     // cohesion-boosted variant (double affinity). Low affinity finds the
@@ -340,19 +374,23 @@ pub(crate) fn portfolio_search(
             seed: None,
             start,
         });
-        if start.is_none() {
-            for seed in restart_seeds(ctx, io, cfg, &free_nodes) {
-                specs.push(TrajectorySpec {
-                    config: cfg,
-                    flavour,
-                    seed: Some(seed),
-                    start: None,
-                });
-            }
+        for &seed in &seeds {
+            specs.push(TrajectorySpec {
+                config: cfg,
+                flavour,
+                seed: Some(seed),
+                start: None,
+            });
         }
     }
 
-    let results = run_trajectories(ctx, io, free, &free_nodes, &specs, threads, pool);
+    let shared = Portfolio {
+        free,
+        free_nodes: &free_nodes,
+        table: &table,
+    };
+    let results = run_trajectories(ctx, io, &shared, &specs, threads, pool);
+    pool[0].table = table;
 
     // Deterministic merge: visit the results in spec order and keep the
     // first strict improvement — exactly the comparison sequence of the
@@ -374,8 +412,7 @@ pub(crate) fn portfolio_search(
 fn run_trajectories(
     ctx: &BlockContext<'_>,
     io: IoConstraints,
-    free: &NodeSet,
-    free_nodes: &[NodeId],
+    shared: &Portfolio<'_>,
     specs: &[TrajectorySpec<'_>],
     threads: usize,
     pool: &mut Vec<SearchScratch>,
@@ -385,7 +422,7 @@ fn run_trajectories(
         pool.resize_with(workers, SearchScratch::default);
     }
     deal_indexed(specs, &mut pool[..workers], |spec, scratch| {
-        run_trajectory(ctx, io, free, free_nodes, spec, scratch, None)
+        run_trajectory(ctx, io, shared, spec, scratch, None)
     })
 }
 
@@ -450,6 +487,15 @@ where
 /// recombination per unmarked candidate plus the fresh probes of the
 /// candidates the previous commit dirtied.
 ///
+/// The cache never starts cold. Pass 0 starts from a copy of the
+/// portfolio's start table, filled against the same start cut, and a
+/// forced seed then commits through it like any other toggle. Each
+/// later pass starts from the previous pass best, which the trajectory
+/// left only a few commits earlier: those commits are undone, newest
+/// first ([`GainCache::roll_back`]), leaving the engine equal to one
+/// built from that cut and the cache exact and warm
+/// (`tests/rollback.rs`).
+///
 /// A pass ends early once its permanent I/O floor ([`IoFloor`]) exceeds
 /// `io`: the committed entering nodes stay in the cut for the rest of
 /// the pass, so no later state of the pass can be legal and the pass
@@ -466,8 +512,7 @@ where
 fn run_trajectory(
     ctx: &BlockContext<'_>,
     io: IoConstraints,
-    free: &NodeSet,
-    free_nodes: &[NodeId],
+    shared: &Portfolio<'_>,
     spec: &TrajectorySpec<'_>,
     scratch: &mut SearchScratch,
     mut trace: Option<&mut Vec<Vec<NodeId>>>,
@@ -508,25 +553,37 @@ fn run_trajectory(
     let mut engine =
         ToggleEngine::from_cut_in(ctx, start_nodes, std::mem::take(&mut scratch.arena));
     let cache = &mut scratch.cache;
+    cache.copy_from(shared.table);
     let best_nodes = &mut scratch.best_nodes;
     let start_cut = &mut scratch.start_cut;
     let unmarked = &mut scratch.unmarked;
+    let pass_commits = &mut scratch.pass_commits;
     let floor = &mut scratch.floor;
 
     // Invariant-audit cadence; the disabled path is one integer compare
     // per commit.
     let audit_every = crate::audit::effective_cadence(config.audit_cadence) as u64;
     let mut commits_done: u64 = 0;
+    // Length of the pass's commit list at its best cut.
+    let mut best_len = 0;
 
     for pass in 0..config.max_passes {
         if pass > 0 {
-            engine.reset_from_cut(best_cut.nodes());
+            cache.roll_back(&mut engine, &pass_commits[best_len..]);
+            debug_assert_eq!(
+                engine.cut(),
+                best_cut.nodes(),
+                "rollback missed the pass best"
+            );
+            if audit_every != 0 {
+                audit(&engine, cache, Vec::new(), spec.flavour, commits_done);
+            }
         }
-        cache.reset(n);
         floor.reset(n);
         start_cut.copy_from(engine.cut());
         unmarked.clear();
-        unmarked.extend_from_slice(free_nodes);
+        unmarked.extend_from_slice(shared.free_nodes);
+        pass_commits.clear();
         if let Some(t) = trace.as_deref_mut() {
             t.push(Vec::new());
         }
@@ -561,10 +618,11 @@ fn run_trajectory(
                 pass_trace.push(v);
             }
             cache.commit_tracked(&mut engine, v);
-            floor.commit(ctx, free, start_cut, v);
+            pass_commits.push(v);
+            floor.commit(ctx, shared.free, start_cut, v);
             commits_done += 1;
             if audit_every != 0 && commits_done.is_multiple_of(audit_every) {
-                let mut divergences = engine.audit_divergences();
+                let mut divergences = Vec::new();
                 if floor.inputs() > engine.input_count() || floor.outputs() > engine.output_count()
                 {
                     divergences.push(format!(
@@ -575,24 +633,15 @@ fn run_trajectory(
                         engine.output_count()
                     ));
                 }
-                divergences.extend(cache.audit_divergences(&engine));
+                audit(&engine, cache, divergences, spec.flavour, commits_done);
                 cache.note_audit();
-                if !divergences.is_empty() {
-                    panic!(
-                        "{}",
-                        crate::AuditReport {
-                            flavour: spec.flavour.to_string(),
-                            commits: commits_done,
-                            divergences,
-                        }
-                    );
-                }
             }
             if engine.is_legal(io) {
                 let m = engine.merit();
                 if m > pass_best_merit {
                     pass_best_merit = m;
                     best_nodes.copy_from(engine.cut());
+                    best_len = pass_commits.len();
                     pass_best = Some((
                         engine.input_count(),
                         engine.output_count(),
@@ -609,7 +658,6 @@ fn run_trajectory(
             }
         }
 
-        stats.absorb(cache.stats());
         match pass_best {
             Some((inputs, outputs, sw, hw)) => {
                 best_merit = pass_best_merit;
@@ -618,8 +666,34 @@ fn run_trajectory(
             None => break, // no improvement this pass
         }
     }
+    stats.absorb(cache.stats());
     scratch.arena = engine.into_arena();
     (best_cut, stats)
+}
+
+/// One invariant audit: `divergences` found by the caller, plus every
+/// engine field and clean cache entry that diverges from a rebuild from
+/// scratch. Panics with a structured [`crate::AuditReport`] when any
+/// diverges.
+fn audit(
+    engine: &ToggleEngine<'_, '_>,
+    cache: &GainCache,
+    mut divergences: Vec<String>,
+    flavour: &str,
+    commits: u64,
+) {
+    divergences.extend(engine.audit_divergences());
+    divergences.extend(cache.audit_divergences(engine));
+    if !divergences.is_empty() {
+        panic!(
+            "{}",
+            crate::AuditReport {
+                flavour: flavour.to_string(),
+                commits,
+                divergences,
+            }
+        );
+    }
 }
 
 /// Runs a single trajectory with the given flavour weights and no
@@ -646,24 +720,27 @@ pub fn trajectory_commit_trace(
         seed: None,
         start: None,
     };
+    let mut table = GainCache::default();
+    table.fill(&ToggleEngine::new(ctx), &free_nodes);
+    let shared = Portfolio {
+        free: &free,
+        free_nodes: &free_nodes,
+        table: &table,
+    };
     let mut scratch = SearchScratch::new();
-    let (cut, _) = run_trajectory(
-        ctx,
-        io,
-        &free,
-        &free_nodes,
-        &spec,
-        &mut scratch,
-        Some(&mut trace),
-    );
+    let (cut, _) = run_trajectory(ctx, io, &shared, &spec, &mut scratch, Some(&mut trace));
     (trace, cut)
 }
 
 /// Picks up to `restarts − 1` forced first moves, spread across the
-/// block: the highest-gain unmarked nodes with pairwise undirected
-/// distance ≥ 3, so each restart explores a different region.
+/// block: the highest-gain free nodes with pairwise undirected distance
+/// ≥ 3, so each restart explores a different region. The gains are
+/// read from the start table against the empty cut (`engine`), where
+/// `N(v, C) = 0`: the cohesive flavour's doubled affinity weighs a zero
+/// term, so its gains, and its seeds, are exactly these.
 fn restart_seeds(
-    ctx: &BlockContext<'_>,
+    engine: &ToggleEngine<'_, '_>,
+    table: &GainCache,
     io: IoConstraints,
     config: &SearchConfig,
     free_nodes: &[NodeId],
@@ -671,11 +748,14 @@ fn restart_seeds(
     if config.restarts <= 1 {
         return Vec::new();
     }
+    let ctx = engine.ctx();
     let n = ctx.node_count();
-    let engine = ToggleEngine::new(ctx);
     let mut scored: Vec<(f64, NodeId)> = free_nodes
         .iter()
-        .map(|&v| (gain_of(&engine, ctx, &config.weights, io, v), v))
+        .map(|&v| {
+            let probe = table.recombine(engine, v);
+            (config.weights.combine(ctx, io, v, &probe), v)
+        })
         .collect();
     // Descending gain (total order, so −0.0 sorts below +0.0), ties to
     // the lowest node id.

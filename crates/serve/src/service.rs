@@ -448,6 +448,8 @@ impl Service {
                     ("cached_probes", s.cached_probes.into()),
                     ("probes_avoided_pct", (s.avoided_fraction() * 100.0).into()),
                     ("commits", s.commits.into()),
+                    ("undo_commits", s.undo_commits.into()),
+                    ("table_fills", s.table_fills.into()),
                     ("queue_pops", s.queue_pops.into()),
                     ("hull_retests", s.hull_retests.into()),
                     ("floor_stops", s.floor_stops.into()),

@@ -236,8 +236,20 @@ fn stats_accumulate_at_four_threads() {
         "every search must report into the finder: {stats:?}"
     );
     assert_eq!(
-        (stats.trajectories, stats.commits, stats.fresh_probes),
-        (want.trajectories, want.commits, want.fresh_probes),
+        (
+            stats.trajectories,
+            stats.commits,
+            stats.fresh_probes,
+            stats.undo_commits,
+            stats.table_fills
+        ),
+        (
+            want.trajectories,
+            want.commits,
+            want.fresh_probes,
+            want.undo_commits,
+            want.table_fills
+        ),
         "the search work must not depend on the thread count"
     );
 }
