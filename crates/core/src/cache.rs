@@ -174,7 +174,7 @@ pub struct GainCache {
 
 impl Default for GainCache {
     /// An empty cache for a zero-node block — the placeholder state of a
-    /// pooled arena before [`GainCache::reset`] sizes it to a block.
+    /// pooled arena before [`GainCache::fill`] sizes it to a block.
     fn default() -> Self {
         GainCache::new(0)
     }
@@ -193,10 +193,9 @@ impl GainCache {
     }
 
     /// Re-initialises the cache for a block of `n` nodes, reusing the
-    /// entry and dirty-set allocations — the arena path of
-    /// [`crate::SearchScratch`]. Clears the statistics; absorb
-    /// [`GainCache::stats`] first if they matter.
-    pub fn reset(&mut self, n: usize) {
+    /// entry and dirty-set allocations — the first step of
+    /// [`GainCache::fill`]. Clears the statistics.
+    pub(crate) fn reset(&mut self, n: usize) {
         self.entries.clear();
         self.entries.resize(n, CLEAN_SLATE);
         self.dirty.reset(n);

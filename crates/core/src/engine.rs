@@ -258,15 +258,13 @@ impl<'c, 'a> ToggleEngine<'c, 'a> {
         engine
     }
 
-    /// Re-initialises this engine from `cut`, reusing every buffer —
-    /// what [`ToggleEngine::from_cut`] does, without the allocations.
-    /// Used between K-L passes (restart from the pass-best cut) and
-    /// between pooled trajectories.
+    /// Initialises this engine's pooled buffers from `cut` — the tail
+    /// of [`ToggleEngine::from_cut_in`].
     ///
     /// # Panics
     ///
     /// Panics if `cut`'s capacity does not match the block.
-    pub fn reset_from_cut(&mut self, cut: &NodeSet) {
+    pub(crate) fn reset_from_cut(&mut self, cut: &NodeSet) {
         let n = self.ctx.node_count();
         assert_eq!(cut.capacity(), n, "cut capacity does not match block");
         self.cut.copy_from(cut);

@@ -8,10 +8,9 @@
 //!
 //! * [`Pattern`] — the shape of a cut, extracted as an induced labelled
 //!   subgraph with operand positions preserved.
-//! * [`find_instances`] — all embeddings of a pattern in a block
-//!   (VF2-style backtracking, opcode- and structure-pruned).
 //! * [`find_disjoint_instances`] — a maximal greedy set of node-disjoint
-//!   embeddings, skipping nodes already claimed by other ISEs.
+//!   embeddings of a pattern in a block (VF2-style backtracking, opcode-
+//!   and structure-pruned), skipping nodes already claimed by other ISEs.
 //! * [`Pattern::signature`] — a structural hash for grouping identical
 //!   cuts across configurations.
 //!
@@ -54,5 +53,5 @@
 mod matcher;
 mod pattern;
 
-pub use matcher::{find_disjoint_instances, find_instances, MatchBudget};
+pub use matcher::find_disjoint_instances;
 pub use pattern::Pattern;

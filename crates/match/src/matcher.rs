@@ -2,25 +2,11 @@ use crate::Pattern;
 use isegen_graph::{NodeId, NodeSet};
 use isegen_ir::{BasicBlock, Opcode};
 
-/// Backtracking budget for the isomorphism search.
-///
-/// The matcher counts candidate-assignment attempts; when the budget runs
-/// out it returns the embeddings found so far. The default is generous
-/// enough for every workload in this repository (AES included) while
-/// bounding pathological inputs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MatchBudget {
-    /// Maximum number of candidate assignments tried per search.
-    pub max_steps: usize,
-}
-
-impl Default for MatchBudget {
-    fn default() -> Self {
-        MatchBudget {
-            max_steps: 2_000_000,
-        }
-    }
-}
+/// Backtracking budget of one embedding search, in candidate-assignment
+/// attempts; when it runs out the search returns the embeddings found so
+/// far. Generous for every workload in this repository (AES included)
+/// while bounding pathological inputs.
+const MAX_STEPS: usize = 2_000_000;
 
 struct Matcher<'a> {
     block: &'a BasicBlock,
@@ -37,12 +23,7 @@ struct Matcher<'a> {
 }
 
 impl<'a> Matcher<'a> {
-    fn new(
-        block: &'a BasicBlock,
-        pattern: &'a Pattern,
-        excluded: Option<&NodeSet>,
-        budget: MatchBudget,
-    ) -> Self {
+    fn new(block: &'a BasicBlock, pattern: &'a Pattern, excluded: Option<&NodeSet>) -> Self {
         let n = block.dag().node_count();
         let avoid = match excluded {
             Some(e) => e.clone(),
@@ -58,7 +39,7 @@ impl<'a> Matcher<'a> {
             avoid,
             phi: vec![None; pattern.node_count()],
             in_instance: vec![false; n],
-            steps_left: budget.max_steps,
+            steps_left: MAX_STEPS,
             buckets,
         }
     }
@@ -247,56 +228,15 @@ pub fn find_disjoint_instances(
     pattern: &Pattern,
     excluded: Option<&NodeSet>,
 ) -> Vec<NodeSet> {
-    find_disjoint_instances_with(block, pattern, excluded, MatchBudget::default())
-}
-
-/// [`find_disjoint_instances`] with an explicit search budget.
-pub fn find_disjoint_instances_with(
-    block: &BasicBlock,
-    pattern: &Pattern,
-    excluded: Option<&NodeSet>,
-    budget: MatchBudget,
-) -> Vec<NodeSet> {
-    let mut matcher = Matcher::new(block, pattern, excluded, budget);
+    let mut matcher = Matcher::new(block, pattern, excluded);
     let mut out = Vec::new();
     loop {
-        matcher.steps_left = budget.max_steps;
+        matcher.steps_left = MAX_STEPS;
         if !matcher.search() {
             break;
         }
         let inst = matcher.instance_set();
         matcher.avoid.union_with(&inst);
-        matcher.reset();
-        out.push(inst);
-    }
-    out
-}
-
-/// Finds up to `limit` embeddings of `pattern` in `block` (embeddings may
-/// overlap each other), skipping nodes in `excluded`.
-///
-/// Mostly useful for diagnostics and tests; ISE reuse wants
-/// [`find_disjoint_instances`].
-pub fn find_instances(
-    block: &BasicBlock,
-    pattern: &Pattern,
-    excluded: Option<&NodeSet>,
-    limit: usize,
-) -> Vec<NodeSet> {
-    // Enumerate by forbidding *only* previously found anchor images, which
-    // yields distinct embeddings without full enumeration machinery.
-    let mut out: Vec<NodeSet> = Vec::new();
-    let budget = MatchBudget::default();
-    let mut matcher = Matcher::new(block, pattern, excluded, budget);
-    let anchor = pattern.order()[0] as usize;
-    while out.len() < limit {
-        matcher.steps_left = budget.max_steps;
-        if !matcher.search() {
-            break;
-        }
-        let inst = matcher.instance_set();
-        // Ban this anchor image and retry for a different embedding.
-        matcher.avoid.insert(matcher.phi[anchor].expect("complete"));
         matcher.reset();
         out.push(inst);
     }
@@ -384,16 +324,6 @@ mod tests {
         let found = find_disjoint_instances(&block, &pattern, None);
         // 4 muls pair into 2 disjoint instances
         assert_eq!(found.len(), 2);
-    }
-
-    #[test]
-    fn overlapping_enumeration() {
-        let (block, nodes) = clusters(3);
-        let n = block.dag().node_count();
-        let cut = NodeSet::from_ids(n, [nodes[0].0, nodes[0].1]);
-        let pattern = Pattern::extract(&block, &cut);
-        let found = find_instances(&block, &pattern, None, 10);
-        assert_eq!(found.len(), 3);
     }
 
     #[test]

@@ -15,10 +15,16 @@
 //! operand is signed, self-determined shift amounts, zero-filled
 //! oversized shifts).
 //!
-//! Like everything reachable from the `ised` service boundary the
-//! parser and evaluator are panic-free: hostile or corrupted text
-//! produces a line-numbered [`SimError`], bounded loops guard against
-//! runaway `for` statements, and combinational cycles are detected.
+//! [`parse_module`] elaborates each module once: names become slot and
+//! function indices, and the continuous assigns a topological order
+//! that [`VerilogModule::evaluate`] runs straight-line through the one
+//! evaluator module expressions and function bodies share. Every fault
+//! that does not depend on input values is a line-numbered [`SimError`]
+//! from `parse_module`: syntax; undeclared, undriven, doubly driven or
+//! looping nets; unknown functions and variables; wrong-arity or
+//! recursive calls; over-deep nesting; concatenations over 64 bits.
+//! `evaluate` rejects only a wrong-length input vector or a function
+//! that exceeds its step budget (a runaway `for` loop).
 //!
 //! ```
 //! use isegen_graph::NodeSet;
@@ -49,11 +55,8 @@ use std::fmt;
 /// bound from pinning a worker thread.
 const MAX_FUNCTION_STEPS: usize = 65_536;
 
-/// Maximum nested function-call depth (emitted code never nests calls;
-/// the bound exists so hostile input cannot overflow the stack).
-const MAX_CALL_DEPTH: usize = 16;
-
-/// Maximum expression nesting depth accepted by the parser.
+/// Maximum nesting depth of parsed expressions and statements, and of
+/// evaluation, where a call nests its callee's body under it.
 const MAX_EXPR_DEPTH: usize = 256;
 
 /// A simulation failure: parse errors, unknown signals, combinational
@@ -145,7 +148,7 @@ enum Tok {
     /// Identifier or keyword (includes `$signed`).
     Ident(String),
     /// A resolved literal: `8'h1b`, `6'd32`, `1'b0`, bare `42`.
-    Number { bits: u64, width: u32, signed: bool },
+    Number(Value),
     /// Operator or punctuation, longest-match.
     Punct(&'static str),
 }
@@ -247,28 +250,16 @@ fn lex(text: &str) -> Result<Vec<Token>, SimError> {
                             format!("literal {:?} does not fit its width", &text[start..i]),
                         ));
                     }
-                    tokens.push(Token {
-                        tok: Tok::Number {
-                            bits,
-                            width,
-                            signed: false,
-                        },
-                        line,
-                    });
+                    let tok = Tok::Number(Value::new(bits, width, false));
+                    tokens.push(Token { tok, line });
                 } else {
                     // Bare decimal: 32-bit signed (Verilog-2001).
                     let bits: u64 = size_digits
                         .parse::<u32>()
                         .map_err(|_| SimError::new(line, "decimal literal out of range"))?
                         .into();
-                    tokens.push(Token {
-                        tok: Tok::Number {
-                            bits,
-                            width: 32,
-                            signed: true,
-                        },
-                        line,
-                    });
+                    let tok = Tok::Number(Value::new(bits, 32, true));
+                    tokens.push(Token { tok, line });
                 }
             }
             _ => {
@@ -296,77 +287,54 @@ fn lex(text: &str) -> Result<Vec<Token>, SimError> {
 // AST
 // ---------------------------------------------------------------------
 
+/// An identifier and what elaboration resolved it to: a slot for a net
+/// or variable, an index into the module's functions for a callee.
+#[derive(Debug, Clone, PartialEq)]
+struct Name {
+    text: String,
+    index: usize,
+}
+
+impl From<String> for Name {
+    fn from(text: String) -> Name {
+        Name { text, index: 0 }
+    }
+}
+
 #[derive(Debug, Clone, PartialEq)]
 enum Expr {
-    Ident(String),
-    Literal {
-        bits: u64,
-        width: u32,
-        signed: bool,
-    },
+    Ident(Name),
+    Literal(Value),
     /// `base[high:low]` with constant bounds.
-    Select {
-        base: Box<Expr>,
-        high: u32,
-        low: u32,
-    },
+    Select(Box<Expr>, u32, u32),
     /// `base[index]` with a computed index (`b[i]` in `gfmul`'s loop).
-    Index {
-        base: Box<Expr>,
-        index: Box<Expr>,
-    },
+    Index(Box<Expr>, Box<Expr>),
     Concat(Vec<Expr>),
-    Unary {
-        op: &'static str,
-        operand: Box<Expr>,
-    },
-    Binary {
-        op: &'static str,
-        lhs: Box<Expr>,
-        rhs: Box<Expr>,
-    },
-    Ternary {
-        cond: Box<Expr>,
-        then: Box<Expr>,
-        els: Box<Expr>,
-    },
+    Unary(&'static str, Box<Expr>),
+    Binary(&'static str, Box<Expr>, Box<Expr>),
+    /// `cond ? then : els`.
+    Ternary(Box<Expr>, Box<Expr>, Box<Expr>),
     /// `$signed(e)`.
     Signed(Box<Expr>),
-    Call {
-        name: String,
-        args: Vec<Expr>,
-    },
+    Call(Name, Vec<Expr>),
 }
 
 #[derive(Debug, Clone)]
 enum Stmt {
-    /// `target = expr;` (blocking assignment).
-    Assign {
-        target: String,
-        expr: Expr,
-        line: usize,
-    },
-    If {
-        cond: Expr,
-        then: Box<Stmt>,
-        els: Option<Box<Stmt>>,
-    },
-    For {
-        init: Box<Stmt>,
-        cond: Expr,
-        step: Box<Stmt>,
-        body: Box<Stmt>,
-        line: usize,
-    },
-    Case {
-        scrutinee: Expr,
-        arms: Vec<(Expr, Stmt)>,
-        default: Option<Box<Stmt>>,
-        line: usize,
-    },
+    /// `target = expr;` (blocking assignment) on `line`.
+    Assign(Name, Expr, usize),
+    /// `if (cond) then else els`.
+    If(Expr, Box<Stmt>, Option<Box<Stmt>>),
+    /// `for (init; cond; step) body` on `line`.
+    For(Box<Stmt>, Expr, Box<Stmt>, Box<Stmt>, usize),
+    /// `case (scrutinee) label: arm … default: arm endcase` on `line`.
+    Case(Expr, Vec<(Expr, Stmt)>, Option<Box<Stmt>>, usize),
     Block(Vec<Stmt>),
 }
 
+/// A helper function. Its frame is its inputs, then its locals, then
+/// the return variable (named like the function); a later declaration
+/// shadows an earlier one of the same name.
 #[derive(Debug, Clone)]
 struct Function {
     name: String,
@@ -379,19 +347,22 @@ struct Function {
     line: usize,
 }
 
-/// One parsed combinational module: ports, wires, continuous
-/// assignments and helper functions, ready to evaluate on concrete
+/// One elaborated combinational module, ready to evaluate on concrete
 /// input vectors.
 #[derive(Debug, Clone)]
 pub struct VerilogModule {
     name: String,
-    /// `(port, width)` in declaration order.
-    inputs: Vec<(String, u32)>,
-    outputs: Vec<(String, u32)>,
-    wires: HashMap<String, u32>,
-    /// `target -> (expr, line)`; one driver per net, enforced at parse.
-    assigns: HashMap<String, (Expr, usize)>,
-    functions: HashMap<String, Function>,
+    /// The initial value of every slot, which fixes its width: the input
+    /// ports in declaration order, then one per continuous assign.
+    slots: Vec<Value>,
+    /// How many leading slots are input ports.
+    input_count: usize,
+    /// `(slot, width)` of each output port, in declaration order.
+    outputs: Vec<(usize, u32)>,
+    /// `(target, expr, line)` per continuous assign an output depends
+    /// on, in topological order.
+    assigns: Vec<(Name, Expr, usize)>,
+    functions: Vec<Function>,
 }
 
 // ---------------------------------------------------------------------
@@ -406,7 +377,7 @@ struct Parser {
 /// A literal usable as a constant bit index.
 fn constant_index(e: &Expr) -> Option<u32> {
     match e {
-        Expr::Literal { bits, .. } if *bits <= 63 => Some(*bits as u32),
+        Expr::Literal(v) if v.bits <= 63 => Some(v.bits as u32),
         _ => None,
     }
 }
@@ -472,7 +443,7 @@ impl Parser {
 
     fn expect_index(&mut self) -> Result<u32, SimError> {
         match self.bump() {
-            Some(Tok::Number { bits, .. }) if bits <= 63 => Ok(bits as u32),
+            Some(Tok::Number(v)) if v.bits <= 63 => Ok(v.bits as u32),
             _ => Err(self.err("expected bit index 0..=63")),
         }
     }
@@ -505,11 +476,7 @@ impl Parser {
             let then = self.expr(depth + 1)?;
             self.expect_punct(":")?;
             let els = self.expr(depth + 1)?;
-            return Ok(Expr::Ternary {
-                cond: Box::new(cond),
-                then: Box::new(then),
-                els: Box::new(els),
-            });
+            return Ok(Expr::Ternary(Box::new(cond), Box::new(then), Box::new(els)));
         }
         Ok(cond)
     }
@@ -534,11 +501,7 @@ impl Parser {
             };
             self.pos += 1;
             let rhs = self.binary(level + 1, depth + 1)?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
+            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
         }
         Ok(lhs)
     }
@@ -549,11 +512,7 @@ impl Parser {
             let op = *p;
             self.pos += 1;
             let rhs = self.multiplicative(depth)?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
+            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
         }
         Ok(lhs)
     }
@@ -564,11 +523,7 @@ impl Parser {
             let op = *p;
             self.pos += 1;
             let rhs = self.unary(depth)?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
+            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
         }
         Ok(lhs)
     }
@@ -581,27 +536,16 @@ impl Parser {
             let op = *p;
             self.pos += 1;
             let operand = self.unary(depth + 1)?;
-            return Ok(Expr::Unary {
-                op,
-                operand: Box::new(operand),
-            });
+            return Ok(Expr::Unary(op, Box::new(operand)));
         }
         self.primary(depth)
     }
 
     fn primary(&mut self, depth: usize) -> Result<Expr, SimError> {
         let base = match self.peek().cloned() {
-            Some(Tok::Number {
-                bits,
-                width,
-                signed,
-            }) => {
+            Some(Tok::Number(value)) => {
                 self.pos += 1;
-                Expr::Literal {
-                    bits,
-                    width,
-                    signed,
-                }
+                Expr::Literal(value)
             }
             Some(Tok::Punct("(")) => {
                 self.pos += 1;
@@ -646,9 +590,9 @@ impl Parser {
                         }
                     }
                     self.expect_punct(")")?;
-                    Expr::Call { name, args }
+                    Expr::Call(name.into(), args)
                 } else {
-                    Expr::Ident(name)
+                    Expr::Ident(name.into())
                 }
             }
             _ => return Err(self.err("expected expression")),
@@ -669,26 +613,15 @@ impl Parser {
                 if high < low {
                     return Err(self.err("descending part select required"));
                 }
-                return Ok(Expr::Select {
-                    base: Box::new(base),
-                    high,
-                    low,
-                });
+                return Ok(Expr::Select(Box::new(base), high, low));
             }
             self.expect_punct("]")?;
             // Constant single-bit selects fold to a Select; computed
             // indices stay dynamic.
             if let Some(bit) = constant_index(&first) {
-                return Ok(Expr::Select {
-                    base: Box::new(base),
-                    high: bit,
-                    low: bit,
-                });
+                return Ok(Expr::Select(Box::new(base), bit, bit));
             }
-            return Ok(Expr::Index {
-                base: Box::new(base),
-                index: Box::new(first),
-            });
+            return Ok(Expr::Index(Box::new(base), Box::new(first)));
         }
         Ok(base)
     }
@@ -724,7 +657,7 @@ impl Parser {
             } else {
                 None
             };
-            return Ok(Stmt::If { cond, then, els });
+            return Ok(Stmt::If(cond, then, els));
         }
         if self.at_keyword("for") {
             self.pos += 1;
@@ -736,13 +669,7 @@ impl Parser {
             let step = Box::new(self.simple_assign()?);
             self.expect_punct(")")?;
             let body = Box::new(self.statement(depth + 1)?);
-            return Ok(Stmt::For {
-                init,
-                cond,
-                step,
-                body,
-                line,
-            });
+            return Ok(Stmt::For(init, cond, step, body, line));
         }
         if self.at_keyword("case") {
             self.pos += 1;
@@ -767,12 +694,7 @@ impl Parser {
                 }
             }
             self.pos += 1; // endcase
-            return Ok(Stmt::Case {
-                scrutinee,
-                arms,
-                default,
-                line,
-            });
+            return Ok(Stmt::Case(scrutinee, arms, default, line));
         }
         let assign = self.simple_assign()?;
         self.expect_punct(";")?;
@@ -786,7 +708,7 @@ impl Parser {
         let target = self.expect_ident()?;
         self.expect_punct("=")?;
         let expr = self.expr(0)?;
-        Ok(Stmt::Assign { target, expr, line })
+        Ok(Stmt::Assign(target.into(), expr, line))
     }
 
     // ----- declarations ------------------------------------------------
@@ -877,19 +799,15 @@ impl Parser {
         self.expect_punct(";")?;
 
         let mut wires: HashMap<String, u32> = HashMap::new();
-        let mut assigns: HashMap<String, (Expr, usize)> = HashMap::new();
-        let mut functions: HashMap<String, Function> = HashMap::new();
+        let mut assigns = Vec::new();
+        let mut functions = Vec::new();
         loop {
             if self.at_keyword("endmodule") {
                 self.pos += 1;
                 break;
             }
             if self.at_keyword("function") {
-                let f = self.function()?;
-                let line = f.line;
-                if functions.insert(f.name.clone(), f).is_some() {
-                    return Err(SimError::new(line, "duplicate function"));
-                }
+                functions.push(self.function()?);
                 continue;
             }
             if self.at_keyword("wire") {
@@ -910,12 +828,7 @@ impl Parser {
                 self.expect_punct("=")?;
                 let expr = self.expr(0)?;
                 self.expect_punct(";")?;
-                if assigns.insert(target.clone(), (expr, line)).is_some() {
-                    return Err(SimError::new(
-                        line,
-                        format!("multiple drivers for {target}"),
-                    ));
-                }
+                assigns.push((target.into(), expr, line));
                 continue;
             }
             if self.peek().is_none() {
@@ -923,14 +836,7 @@ impl Parser {
             }
             return Err(self.err("expected wire, assign, function or endmodule"));
         }
-        Ok(VerilogModule {
-            name,
-            inputs,
-            outputs,
-            wires,
-            assigns,
-            functions,
-        })
+        elaborate(name, &inputs, &outputs, &wires, assigns, functions)
     }
 }
 
@@ -960,346 +866,444 @@ pub fn parse_modules(text: &str) -> Result<Vec<VerilogModule>, SimError> {
 }
 
 // ---------------------------------------------------------------------
-// Evaluation
+// Elaboration
 // ---------------------------------------------------------------------
 
-struct Evaluator<'m> {
-    module: &'m VerilogModule,
-    /// Resolved net values by name (ports seeded, wires memoised).
-    nets: HashMap<String, Value>,
-    /// Nets currently being resolved (combinational-loop detection).
-    resolving: Vec<String>,
+/// Gives every input port and driven net a slot, resolves every name in
+/// place, and orders the continuous assigns so each runs after the nets
+/// it reads.
+fn elaborate(
+    name: String,
+    inputs: &[(String, u32)],
+    outputs: &[(String, u32)],
+    wires: &HashMap<String, u32>,
+    mut assigns: Vec<(Name, Expr, usize)>,
+    functions: Vec<Function>,
+) -> Result<VerilogModule, SimError> {
+    let mut e = Elaborator::default();
+    for (i, f) in functions.iter().enumerate() {
+        if e.index.insert(f.name.clone(), i).is_some() {
+            return Err(SimError::new(f.line, "duplicate function"));
+        }
+    }
+    e.progress = vec![Progress::Todo; functions.len()];
+    e.functions = functions;
+    // An input port is driven from outside, so assigning it is a
+    // second driver.
+    let ports = inputs.iter().map(|(port, width)| (port, Some(*width), 1));
+    let nets = assigns.iter().map(|(Name { text, .. }, _, line)| {
+        let output = outputs.iter().find(|(port, _)| port == text);
+        let width = wires.get(text).or(output.map(|p| &p.1));
+        (text, width.copied(), *line)
+    });
+    let mut slots = Vec::new();
+    for (net, width, line) in ports.chain(nets) {
+        let Some(width) = width else {
+            return Err(SimError::new(line, format!("undeclared signal {net}")));
+        };
+        if e.names.insert(net.clone(), (slots.len(), width)).is_some() {
+            return Err(SimError::new(line, format!("multiple drivers for {net}")));
+        }
+        slots.push(Value::new(0, width, false));
+    }
+    // What each slot reads: nothing for a port.
+    let mut deps = vec![Vec::new(); inputs.len()];
+    for (slot, (target, expr, line)) in (inputs.len()..).zip(&mut assigns) {
+        target.index = slot;
+        e.expr(expr, *line, 0)?;
+        deps.push(std::mem::take(&mut e.reads));
+    }
+    for i in 0..e.functions.len() {
+        let (name, line) = (e.functions[i].name.clone(), e.functions[i].line);
+        e.call(&name, line, 0)?;
+    }
+    let rank = topo_rank(&deps).map_err(|slot| {
+        let (target, _, line) = &assigns[slot - inputs.len()];
+        SimError::new(*line, format!("combinational loop through {}", target.text))
+    })?;
+    assigns.sort_by_key(|(target, ..)| rank[target.index]);
+    let outputs = outputs.iter().map(|(port, width)| match e.names.get(port) {
+        Some(&(slot, _)) => Ok((slot, *width)),
+        None => Err(SimError::new(1, format!("undriven signal {port}"))),
+    });
+    let outputs: Vec<_> = outputs.collect::<Result<_, _>>()?;
+    // Evaluate only the nets some output reads, directly or not.
+    let mut live = vec![false; slots.len()];
+    outputs.iter().for_each(|&(slot, _)| live[slot] = true);
+    for (target, ..) in assigns.iter().rev() {
+        if live[target.index] {
+            deps[target.index].iter().for_each(|&d| live[d] = true);
+        }
+    }
+    assigns.retain(|(target, ..)| live[target.index]);
+    Ok(VerilogModule {
+        name,
+        slots,
+        input_count: inputs.len(),
+        outputs,
+        assigns,
+        functions: e.functions,
+    })
 }
 
-impl<'m> Evaluator<'m> {
-    fn net(&mut self, name: &str, line: usize) -> Result<Value, SimError> {
-        if let Some(&v) = self.nets.get(name) {
-            return Ok(v);
-        }
-        if self.resolving.iter().any(|n| n == name) {
-            return Err(SimError::new(
-                line,
-                format!("combinational loop through {name}"),
-            ));
-        }
-        let Some((expr, eline)) = self.module.assigns.get(name) else {
-            return Err(SimError::new(line, format!("undriven signal {name}")));
-        };
-        let width = self
-            .module
-            .wires
-            .get(name)
-            .copied()
-            .or_else(|| {
-                self.module
-                    .outputs
-                    .iter()
-                    .chain(&self.module.inputs)
-                    .find(|(n, _)| n == name)
-                    .map(|&(_, w)| w)
-            })
-            .ok_or_else(|| SimError::new(*eline, format!("undeclared signal {name}")))?;
-        self.resolving.push(name.to_string());
-        let value = self.eval(expr, *eline, 0)?;
-        self.resolving.pop();
-        // Continuous assignment truncates/extends to the net's width.
-        let v = Value::new(value.extended(width, value.signed), width, false);
-        self.nets.insert(name.to_string(), v);
-        Ok(v)
+/// Each node's position in an order that puts it after all its `deps`
+/// (Kahn's algorithm), or `Err` with a node on a dependency cycle.
+fn topo_rank(deps: &[Vec<usize>]) -> Result<Vec<usize>, usize> {
+    let mut pending: Vec<usize> = deps.iter().map(Vec::len).collect();
+    let mut users = vec![Vec::new(); deps.len()];
+    for (node, ds) in deps.iter().enumerate() {
+        ds.iter().for_each(|&d| users[d].push(node));
     }
+    let mut order: Vec<usize> = (0..deps.len()).filter(|&v| pending[v] == 0).collect();
+    let mut rank = vec![0; deps.len()];
+    for next in 0.. {
+        let Some(&node) = order.get(next) else { break };
+        rank[node] = next;
+        for &user in &users[node] {
+            pending[user] -= 1;
+            if pending[user] == 0 {
+                order.push(user);
+            }
+        }
+    }
+    // Walking back along pending dependencies `len` times ends on a cycle.
+    let Some(mut node) = (0..deps.len()).find(|&v| pending[v] > 0) else {
+        return Ok(rank);
+    };
+    for _ in 0..deps.len() {
+        if let Some(&d) = deps[node].iter().find(|&&d| pending[d] > 0) {
+            node = d;
+        }
+    }
+    Err(node)
+}
 
-    fn eval(&mut self, expr: &Expr, line: usize, depth: usize) -> Result<Value, SimError> {
+/// Where a function's elaboration stands. A function is elaborated at
+/// its first call, so a call that reaches an `Active` one recurses.
+#[derive(Clone, Copy)]
+enum Progress {
+    Todo,
+    Active,
+    /// Elaborated; its body nests this many levels under a call.
+    Done(usize),
+}
+
+#[derive(Default)]
+struct Elaborator {
+    functions: Vec<Function>,
+    /// Function name -> index into `functions`.
+    index: HashMap<String, usize>,
+    progress: Vec<Progress>,
+    /// What the code being elaborated can see: `name -> (slot, width)`.
+    names: HashMap<String, (usize, u32)>,
+    /// The function being elaborated; `None` for continuous assigns.
+    function: Option<usize>,
+    /// The module slots the current continuous assign reads.
+    reads: Vec<usize>,
+    /// The deepest nesting reached since the current function began.
+    deepest: usize,
+}
+
+impl Elaborator {
+    fn enter(&mut self, depth: usize, line: usize) -> Result<(), SimError> {
         if depth > MAX_EXPR_DEPTH {
             return Err(SimError::new(line, "evaluation too deep"));
         }
-        match expr {
-            Expr::Literal {
-                bits,
-                width,
-                signed,
-            } => Ok(Value::new(*bits, *width, *signed)),
-            Expr::Ident(name) => self.net(name, line),
-            Expr::Select { base, high, low } => {
-                let v = self.eval(base, line, depth + 1)?;
-                if *high >= 64 {
-                    return Err(SimError::new(line, "part select past bit 63"));
+        self.deepest = self.deepest.max(depth);
+        Ok(())
+    }
+
+    /// Resolves a call of `name` at nesting `depth`, elaborating the
+    /// callee's body on its first call.
+    fn call(&mut self, name: &str, line: usize, depth: usize) -> Result<usize, SimError> {
+        let fail = |message: String| Err(SimError::new(line, message));
+        let Some(&index) = self.index.get(name) else {
+            return fail(format!("unknown function {name}"));
+        };
+        let f = &mut self.functions[index];
+        match self.progress[index] {
+            Progress::Done(height) => self.enter(depth + height, line)?,
+            Progress::Active => return fail(format!("recursive call to function {name}")),
+            Progress::Todo => {
+                let vars = f.inputs.iter().map(|(n, w)| (n, *w));
+                let vars = vars.chain(f.locals.iter().map(|(n, w, _)| (n, *w)));
+                let vars = vars.chain([(&f.name, f.ret_width)]).enumerate();
+                let names = vars.map(|(slot, (n, w))| (n.clone(), (slot, w))).collect();
+                let mut body = std::mem::take(&mut f.body);
+                self.progress[index] = Progress::Active;
+                let names = std::mem::replace(&mut self.names, names);
+                let function = self.function.replace(index);
+                let deepest = std::mem::replace(&mut self.deepest, depth);
+                for stmt in &mut body {
+                    self.stmt(stmt, depth + 1)?;
                 }
-                let width = high - low + 1;
-                Ok(Value::new(v.bits >> low, width, false))
+                self.functions[index].body = body;
+                self.progress[index] = Progress::Done(self.deepest - depth);
+                (self.names, self.function) = (names, function);
+                self.deepest = self.deepest.max(deepest);
             }
-            Expr::Index { base, index } => {
-                let v = self.eval(base, line, depth + 1)?;
-                let i = self.eval(index, line, depth + 1)?;
-                let bit = if i.bits >= u64::from(v.width) {
-                    0
-                } else {
-                    (v.bits >> i.bits) & 1
+        }
+        Ok(index)
+    }
+
+    fn stmt(&mut self, stmt: &mut Stmt, depth: usize) -> Result<(), SimError> {
+        let fline = self.function.map_or(1, |f| self.functions[f].line);
+        self.enter(depth, fline)?;
+        let d = depth + 1;
+        match stmt {
+            Stmt::Assign(target, expr, line) => {
+                let Some(&(slot, _)) = self.names.get(&target.text) else {
+                    let message = format!("assignment to unknown variable {}", target.text);
+                    return Err(SimError::new(*line, message));
                 };
-                Ok(Value::new(bit, 1, false))
+                target.index = slot;
+                self.expr(expr, *line, d)?;
+            }
+            Stmt::If(cond, then, els) => {
+                self.expr(cond, fline, d)?;
+                for s in std::iter::once(then).chain(els) {
+                    self.stmt(s, d)?;
+                }
+            }
+            Stmt::For(init, cond, step, body, line) => {
+                self.expr(cond, *line, d)?;
+                for s in [init, step, body] {
+                    self.stmt(s, d)?;
+                }
+            }
+            Stmt::Case(scrutinee, arms, default, line) => {
+                self.expr(scrutinee, *line, d)?;
+                for (label, arm) in arms {
+                    self.expr(label, *line, d)?;
+                    self.stmt(arm, d)?;
+                }
+                if let Some(s) = default {
+                    self.stmt(s, d)?;
+                }
+            }
+            Stmt::Block(stmts) => {
+                for s in stmts {
+                    self.stmt(s, d)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Resolves `expr` in place and returns its width, which Verilog-2001
+    /// fixes without looking at any value.
+    fn expr(&mut self, expr: &mut Expr, line: usize, depth: usize) -> Result<u32, SimError> {
+        self.enter(depth, line)?;
+        let d = depth + 1;
+        Ok(match expr {
+            Expr::Ident(name) => {
+                let Some(&(slot, width)) = self.names.get(&name.text) else {
+                    let text = &name.text;
+                    let message = match self.function.map(|f| &self.functions[f].name) {
+                        Some(f) => format!("unknown variable {text} in function {f}"),
+                        None => format!("undriven signal {text}"),
+                    };
+                    return Err(SimError::new(line, message));
+                };
+                name.index = slot;
+                if self.function.is_none() {
+                    self.reads.push(slot);
+                }
+                width
+            }
+            Expr::Literal(v) => v.width,
+            Expr::Select(base, high, low) => {
+                self.expr(base, line, d)?;
+                *high - *low + 1
+            }
+            Expr::Index(base, index) => {
+                self.expr(base, line, d)?;
+                self.expr(index, line, d)?;
+                1
             }
             Expr::Concat(parts) => {
-                let mut bits = 0u64;
-                let mut width = 0u32;
+                let mut width = 0;
                 for part in parts {
-                    let v = self.eval(part, line, depth + 1)?;
-                    width += v.width;
+                    width += self.expr(part, line, d)?;
                     if width > 64 {
                         return Err(SimError::new(line, "concatenation wider than 64 bits"));
                     }
-                    bits = (bits << v.width) | v.bits;
                 }
-                Ok(Value::new(bits, width, false))
+                width
             }
-            Expr::Signed(inner) => {
-                let v = self.eval(inner, line, depth + 1)?;
-                Ok(Value { signed: true, ..v })
+            Expr::Signed(inner) => self.expr(inner, line, d)?,
+            Expr::Unary(op, operand) => match (*op, self.expr(operand, line, d)?) {
+                ("!", _) => 1,
+                (_, width) => width,
+            },
+            Expr::Ternary(cond, then, els) => {
+                self.expr(cond, line, d)?;
+                let width = self.expr(then, line, d)?;
+                width.max(self.expr(els, line, d)?)
             }
-            Expr::Unary { op, operand } => {
-                let v = self.eval(operand, line, depth + 1)?;
-                Ok(match *op {
+            Expr::Binary(op, lhs, rhs) => {
+                let width = self.expr(lhs, line, d)?;
+                let rhs = self.expr(rhs, line, d)?;
+                match *op {
+                    "==" | "!=" | "<" | "<=" | ">" | ">=" => 1,
+                    "<<" | ">>" | ">>>" => width,
+                    _ => width.max(rhs),
+                }
+            }
+            Expr::Call(name, args) => {
+                name.index = self.call(&name.text, line, depth)?;
+                let callee = &self.functions[name.index];
+                if args.len() != callee.inputs.len() {
+                    let arity = callee.inputs.len();
+                    let message = format!(
+                        "{} takes {arity} argument(s), got {}",
+                        name.text,
+                        args.len()
+                    );
+                    return Err(SimError::new(line, message));
+                }
+                for arg in args {
+                    self.expr(arg, line, d)?;
+                }
+                self.functions[name.index].ret_width
+            }
+        })
+    }
+}
+
+// ---------------------------------------------------------------------
+// Evaluation
+// ---------------------------------------------------------------------
+
+impl VerilogModule {
+    /// Evaluates `expr` over `frame`: the module's slots, or a call's.
+    fn eval(&self, expr: &Expr, line: usize, frame: &[Value]) -> Result<Value, SimError> {
+        Ok(match expr {
+            Expr::Literal(v) => *v,
+            Expr::Ident(name) => frame[name.index],
+            Expr::Select(base, high, low) => {
+                let v = self.eval(base, line, frame)?;
+                Value::new(v.bits >> low, high - low + 1, false)
+            }
+            Expr::Index(base, index) => {
+                let v = self.eval(base, line, frame)?;
+                let i = self.eval(index, line, frame)?;
+                let inside = i.bits < u64::from(v.width);
+                Value::new(if inside { v.bits >> i.bits } else { 0 }, 1, false)
+            }
+            Expr::Concat(parts) => {
+                // Elaboration bounds the total width by 64.
+                let mut v = Value::new(0, 0, false);
+                for part in parts {
+                    let p = self.eval(part, line, frame)?;
+                    let bits = v.bits.checked_shl(p.width).unwrap_or(0) | p.bits;
+                    v = Value::new(bits, v.width + p.width, false);
+                }
+                v
+            }
+            Expr::Signed(inner) => Value {
+                signed: true,
+                ..self.eval(inner, line, frame)?
+            },
+            Expr::Unary(op, operand) => {
+                let v = self.eval(operand, line, frame)?;
+                // The parser produces only `~`, `-` and `!`.
+                match *op {
                     "~" => Value::new(!v.bits, v.width, v.signed),
                     "-" => Value::new(v.bits.wrapping_neg(), v.width, v.signed),
-                    "!" => Value::new(u64::from(!v.is_true()), 1, false),
-                    _ => return Err(SimError::new(line, "unsupported unary operator")),
-                })
+                    _ => Value::new(u64::from(!v.is_true()), 1, false),
+                }
             }
-            Expr::Ternary { cond, then, els } => {
-                let c = self.eval(cond, line, depth + 1)?;
+            Expr::Ternary(cond, then, els) => {
+                let c = self.eval(cond, line, frame)?;
                 // Both branches are context-sized together; evaluating
                 // only the taken branch is safe because the subset is
                 // side-effect free, but the width must consider both.
-                let t = self.eval(then, line, depth + 1)?;
-                let e = self.eval(els, line, depth + 1)?;
+                let t = self.eval(then, line, frame)?;
+                let e = self.eval(els, line, frame)?;
                 let width = t.width.max(e.width);
                 let signed = t.signed && e.signed;
                 let v = if c.is_true() { t } else { e };
-                Ok(Value::new(v.extended(width, signed), width, signed))
+                Value::new(v.extended(width, signed), width, signed)
             }
-            Expr::Binary { op, lhs, rhs } => {
-                let a = self.eval(lhs, line, depth + 1)?;
-                let b = self.eval(rhs, line, depth + 1)?;
-                binary_op(op, a, b, line)
+            Expr::Binary(op, lhs, rhs) => {
+                let a = self.eval(lhs, line, frame)?;
+                let b = self.eval(rhs, line, frame)?;
+                binary_op(op, a, b, line)?
             }
-            Expr::Call { name, args } => {
-                if depth > MAX_CALL_DEPTH * 16 {
-                    return Err(SimError::new(line, "call nesting too deep"));
+            Expr::Call(name, args) => {
+                // The callee's frame: inputs, locals, return variable.
+                let function = &self.functions[name.index];
+                let mut callee = Vec::with_capacity(args.len() + function.locals.len() + 1);
+                for (arg, &(_, width)) in args.iter().zip(&function.inputs) {
+                    callee.push(Value::new(self.eval(arg, line, frame)?.bits, width, false));
                 }
-                let mut values = Vec::with_capacity(args.len());
-                for arg in args {
-                    values.push(self.eval(arg, line, depth + 1)?);
+                let locals = function.locals.iter();
+                callee.extend(locals.map(|&(_, width, signed)| Value::new(0, width, signed)));
+                callee.push(Value::new(0, function.ret_width, false));
+                let mut steps = 0;
+                for stmt in &function.body {
+                    self.exec(function, stmt, &mut callee, &mut steps)?;
                 }
-                self.call(name, &values, line, depth)
+                callee[callee.len() - 1]
             }
-        }
+        })
     }
 
-    fn call(
-        &mut self,
-        name: &str,
-        args: &[Value],
-        line: usize,
-        depth: usize,
-    ) -> Result<Value, SimError> {
-        let Some(function) = self.module.functions.get(name) else {
-            return Err(SimError::new(line, format!("unknown function {name}")));
-        };
-        if args.len() != function.inputs.len() {
-            return Err(SimError::new(
-                line,
-                format!(
-                    "{name} takes {} argument(s), got {}",
-                    function.inputs.len(),
-                    args.len()
-                ),
-            ));
-        }
-        let mut vars: HashMap<&str, Value> = HashMap::new();
-        for ((pname, width), &arg) in function.inputs.iter().zip(args) {
-            vars.insert(pname, Value::new(arg.bits, *width, false));
-        }
-        for (vname, width, signed) in &function.locals {
-            vars.insert(vname, Value::new(0, *width, *signed));
-        }
-        // The function name is the return variable.
-        vars.insert(&function.name, Value::new(0, function.ret_width, false));
-        let mut steps = 0usize;
-        for stmt in &function.body {
-            self.exec(function, stmt, &mut vars, &mut steps, depth)?;
-        }
-        Ok(vars[function.name.as_str()])
-    }
-
-    /// Evaluates an expression inside a function body: local variables
-    /// shadow module nets.
-    fn eval_in(
-        &mut self,
+    fn exec(
+        &self,
         function: &Function,
-        expr: &Expr,
-        vars: &HashMap<&str, Value>,
-        line: usize,
-        depth: usize,
-    ) -> Result<Value, SimError> {
-        match expr {
-            Expr::Ident(name) => {
-                if let Some(&v) = vars.get(name.as_str()) {
-                    return Ok(v);
-                }
-                Err(SimError::new(
-                    line,
-                    format!("unknown variable {name} in function {}", function.name),
-                ))
-            }
-            Expr::Literal { .. } => self.eval(expr, line, depth),
-            Expr::Select { base, high, low } => {
-                let v = self.eval_in(function, base, vars, line, depth + 1)?;
-                if *high >= 64 {
-                    return Err(SimError::new(line, "part select past bit 63"));
-                }
-                Ok(Value::new(v.bits >> low, high - low + 1, false))
-            }
-            Expr::Index { base, index } => {
-                let v = self.eval_in(function, base, vars, line, depth + 1)?;
-                let i = self.eval_in(function, index, vars, line, depth + 1)?;
-                let bit = if i.bits >= u64::from(v.width) {
-                    0
-                } else {
-                    (v.bits >> i.bits) & 1
-                };
-                Ok(Value::new(bit, 1, false))
-            }
-            Expr::Concat(parts) => {
-                let mut bits = 0u64;
-                let mut width = 0u32;
-                for part in parts {
-                    let v = self.eval_in(function, part, vars, line, depth + 1)?;
-                    width += v.width;
-                    if width > 64 {
-                        return Err(SimError::new(line, "concatenation wider than 64 bits"));
-                    }
-                    bits = (bits << v.width) | v.bits;
-                }
-                Ok(Value::new(bits, width, false))
-            }
-            Expr::Signed(inner) => {
-                let v = self.eval_in(function, inner, vars, line, depth + 1)?;
-                Ok(Value { signed: true, ..v })
-            }
-            Expr::Unary { op, operand } => {
-                let v = self.eval_in(function, operand, vars, line, depth + 1)?;
-                Ok(match *op {
-                    "~" => Value::new(!v.bits, v.width, v.signed),
-                    "-" => Value::new(v.bits.wrapping_neg(), v.width, v.signed),
-                    "!" => Value::new(u64::from(!v.is_true()), 1, false),
-                    _ => return Err(SimError::new(line, "unsupported unary operator")),
-                })
-            }
-            Expr::Ternary { cond, then, els } => {
-                let c = self.eval_in(function, cond, vars, line, depth + 1)?;
-                let t = self.eval_in(function, then, vars, line, depth + 1)?;
-                let e = self.eval_in(function, els, vars, line, depth + 1)?;
-                let width = t.width.max(e.width);
-                let signed = t.signed && e.signed;
-                let v = if c.is_true() { t } else { e };
-                Ok(Value::new(v.extended(width, signed), width, signed))
-            }
-            Expr::Binary { op, lhs, rhs } => {
-                let a = self.eval_in(function, lhs, vars, line, depth + 1)?;
-                let b = self.eval_in(function, rhs, vars, line, depth + 1)?;
-                binary_op(op, a, b, line)
-            }
-            Expr::Call { name, args } => {
-                let mut values = Vec::with_capacity(args.len());
-                for arg in args {
-                    values.push(self.eval_in(function, arg, vars, line, depth + 1)?);
-                }
-                self.call(name, &values, line, depth + 1)
-            }
-        }
-    }
-
-    fn exec<'f>(
-        &mut self,
-        function: &'f Function,
-        stmt: &'f Stmt,
-        vars: &mut HashMap<&'f str, Value>,
+        stmt: &Stmt,
+        frame: &mut [Value],
         steps: &mut usize,
-        depth: usize,
     ) -> Result<(), SimError> {
-        *steps += 1;
-        if *steps > MAX_FUNCTION_STEPS {
-            return Err(SimError::new(
-                function.line,
-                format!("function {} exceeded the step budget", function.name),
-            ));
-        }
+        let tick = |steps: &mut usize, line: usize| {
+            *steps += 1;
+            if *steps > MAX_FUNCTION_STEPS {
+                let message = format!("function {} exceeded the step budget", function.name);
+                return Err(SimError::new(line, message));
+            }
+            Ok(())
+        };
+        tick(steps, function.line)?;
         match stmt {
-            Stmt::Block(stmts) => {
-                for s in stmts {
-                    self.exec(function, s, vars, steps, depth)?;
-                }
+            Stmt::Assign(target, expr, line) => {
+                let value = self.eval(expr, *line, frame)?;
+                let slot = &mut frame[target.index];
+                let (width, signed) = (slot.width, slot.signed);
+                *slot = Value::new(value.extended(width, value.signed), width, signed);
             }
-            Stmt::Assign { target, expr, line } => {
-                let value = self.eval_in(function, expr, vars, *line, depth)?;
-                let Some(slot) = vars.get_mut(target.as_str()) else {
-                    return Err(SimError::new(
-                        *line,
-                        format!("assignment to unknown variable {target}"),
-                    ));
-                };
-                *slot = Value::new(
-                    value.extended(slot.width, value.signed),
-                    slot.width,
-                    slot.signed,
-                );
-            }
-            Stmt::If { cond, then, els } => {
-                let c = self.eval_in(function, cond, vars, function.line, depth)?;
-                if c.is_true() {
-                    self.exec(function, then, vars, steps, depth)?;
+            Stmt::If(cond, then, els) => {
+                if self.eval(cond, function.line, frame)?.is_true() {
+                    self.exec(function, then, frame, steps)?;
                 } else if let Some(e) = els {
-                    self.exec(function, e, vars, steps, depth)?;
+                    self.exec(function, e, frame, steps)?;
                 }
             }
-            Stmt::For {
-                init,
-                cond,
-                step,
-                body,
-                line,
-            } => {
-                self.exec(function, init, vars, steps, depth)?;
-                loop {
-                    let c = self.eval_in(function, cond, vars, *line, depth)?;
-                    if !c.is_true() {
-                        break;
-                    }
-                    self.exec(function, body, vars, steps, depth)?;
-                    self.exec(function, step, vars, steps, depth)?;
-                    *steps += 1;
-                    if *steps > MAX_FUNCTION_STEPS {
-                        return Err(SimError::new(
-                            *line,
-                            format!("function {} exceeded the step budget", function.name),
-                        ));
-                    }
+            Stmt::For(init, cond, step, body, line) => {
+                self.exec(function, init, frame, steps)?;
+                while self.eval(cond, *line, frame)?.is_true() {
+                    self.exec(function, body, frame, steps)?;
+                    self.exec(function, step, frame, steps)?;
+                    tick(steps, *line)?;
                 }
             }
-            Stmt::Case {
-                scrutinee,
-                arms,
-                default,
-                line,
-            } => {
-                let s = self.eval_in(function, scrutinee, vars, *line, depth)?;
-                for (label, body) in arms {
-                    let l = self.eval_in(function, label, vars, *line, depth)?;
+            Stmt::Case(scrutinee, arms, default, line) => {
+                let s = self.eval(scrutinee, *line, frame)?;
+                for (label, arm) in arms {
+                    let l = self.eval(label, *line, frame)?;
                     let w = s.width.max(l.width);
                     if s.extended(w, false) == l.extended(w, false) {
-                        return self.exec(function, body, vars, steps, depth);
+                        return self.exec(function, arm, frame, steps);
                     }
                 }
                 if let Some(d) = default {
-                    self.exec(function, d, vars, steps, depth)?;
+                    self.exec(function, d, frame, steps)?;
+                }
+            }
+            Stmt::Block(stmts) => {
+                for s in stmts {
+                    self.exec(function, s, frame, steps)?;
                 }
             }
         }
@@ -1398,7 +1402,7 @@ impl VerilogModule {
 
     /// Number of input ports, in declaration order.
     pub fn input_count(&self) -> usize {
-        self.inputs.len()
+        self.input_count
     }
 
     /// Number of output ports, in declaration order.
@@ -1413,37 +1417,30 @@ impl VerilogModule {
     /// # Errors
     ///
     /// [`SimError`] when the vector length disagrees with the port
-    /// count, a referenced signal has no driver, evaluation finds a
-    /// combinational loop, or a helper function misbehaves — the ways
-    /// corrupted or truncated Verilog text announces itself.
+    /// count, or a helper function exceeds its step budget on these
+    /// values. Every other fault of the text is rejected by
+    /// [`parse_module`] before a module exists to evaluate.
     pub fn evaluate(&self, inputs: &[u32]) -> Result<Vec<u32>, SimError> {
-        if inputs.len() != self.inputs.len() {
-            return Err(SimError::new(
-                1,
-                format!(
-                    "module {} has {} input port(s), got {} value(s)",
-                    self.name,
-                    self.inputs.len(),
-                    inputs.len()
-                ),
-            ));
+        if inputs.len() != self.input_count {
+            let (name, ports, got) = (&self.name, self.input_count, inputs.len());
+            let message = format!("module {name} has {ports} input port(s), got {got} value(s)");
+            return Err(SimError::new(1, message));
         }
-        let mut evaluator = Evaluator {
-            module: self,
-            nets: HashMap::new(),
-            resolving: Vec::new(),
-        };
-        for ((name, width), &value) in self.inputs.iter().zip(inputs) {
-            evaluator
-                .nets
-                .insert(name.clone(), Value::new(u64::from(value), *width, false));
+        let mut slots = self.slots.clone();
+        for (slot, &value) in slots.iter_mut().zip(inputs) {
+            *slot = Value::new(u64::from(value), slot.width, false);
         }
-        let mut out = Vec::with_capacity(self.outputs.len());
-        for (name, width) in &self.outputs {
-            let v = evaluator.net(name, 1)?;
-            out.push((v.bits & mask(*width) & mask(32)) as u32);
+        for (target, expr, line) in &self.assigns {
+            let v = self.eval(expr, *line, &slots)?;
+            let width = slots[target.index].width;
+            // Continuous assignment truncates/extends to the net's width.
+            slots[target.index] = Value::new(v.extended(width, v.signed), width, false);
         }
-        Ok(out)
+        Ok(self
+            .outputs
+            .iter()
+            .map(|&(slot, width)| (slots[slot].bits & mask(width) & mask(32)) as u32)
+            .collect())
     }
 }
 
@@ -1565,10 +1562,22 @@ mod tests {
 
     #[test]
     fn undriven_and_double_driven_nets_are_errors() {
-        let undriven = "module m (\n  input wire [31:0] in0,\n  output wire [31:0] out0\n);\n  wire [31:0] n0;\n  assign out0 = n0;\nendmodule\n";
-        let module = parse_module(undriven).unwrap();
-        let err = module.evaluate(&[1]).unwrap_err();
-        assert!(err.message.contains("undriven"), "{err}");
+        // Each static fault is rejected by `parse_module`, never left
+        // for `evaluate` to find.
+        let faults = [
+            ("  wire [31:0] n0;\n  assign out0 = n0;\n", "undriven"),
+            ("  assign out0 = n0;\n  assign n0 = in0;\n", "undeclared"),
+            ("  assign out0 = f(in0);\n", "unknown function"),
+            (
+                "  function [31:0] f;\n    input [31:0] a;\n    input [31:0] b;\n    f = a + b;\n  endfunction\n  assign out0 = f(in0);\n",
+                "takes 2 argument(s), got 1",
+            ),
+        ];
+        for (body, message) in faults {
+            let text = format!("module m (\n  input wire [31:0] in0,\n  output wire [31:0] out0\n);\n{body}endmodule\n");
+            let err = parse_module(&text).unwrap_err();
+            assert!(err.message.contains(message), "{err}");
+        }
 
         let doubled = "module m (\n  input wire [31:0] in0,\n  output wire [31:0] out0\n);\n  assign out0 = in0;\n  assign out0 = in0;\nendmodule\n";
         assert!(parse_module(doubled)
@@ -1580,9 +1589,19 @@ mod tests {
     #[test]
     fn combinational_loops_are_detected() {
         let text = "module m (\n  input wire [31:0] in0,\n  output wire [31:0] out0\n);\n  wire [31:0] a;\n  wire [31:0] b;\n  assign a = b + in0;\n  assign b = a + 1;\n  assign out0 = a;\nendmodule\n";
-        let module = parse_module(text).unwrap();
-        let err = module.evaluate(&[1]).unwrap_err();
+        let err = parse_module(text).unwrap_err();
         assert!(err.message.contains("combinational loop"), "{err}");
+    }
+
+    #[test]
+    fn recursive_functions_are_rejected_not_run() {
+        let self_recursive = "  function [7:0] f;\n    input [7:0] b;\n    begin\n      f = f(b);\n    end\n  endfunction\n  assign out0 = {24'b0, f(in0[7:0])};\n";
+        let mutual = "  function [7:0] f;\n    input [7:0] b;\n    f = g(b);\n  endfunction\n  function [7:0] g;\n    input [7:0] b;\n    g = f(b);\n  endfunction\n  assign out0 = {24'b0, g(in0[7:0])};\n";
+        for body in [self_recursive, mutual] {
+            let text = format!("module m (\n  input wire [31:0] in0,\n  output wire [31:0] out0\n);\n{body}endmodule\n");
+            let err = parse_module(&text).unwrap_err();
+            assert!(err.message.contains("recursive call"), "{err}");
+        }
     }
 
     #[test]

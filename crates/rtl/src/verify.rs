@@ -158,6 +158,90 @@ pub(crate) fn stimulus(seed: u64) -> impl FnMut() -> u32 {
     }
 }
 
+/// Differentially tests modules cut from one block: the interpreter
+/// runs once per stimulus vector, and each module's netlist and Verilog
+/// legs are compared against that run. One report per module, in order.
+fn verify_block(
+    block: &BasicBlock,
+    legs: &[(&Netlist, &VerilogModule)],
+    config: &VerifyConfig,
+) -> Result<Vec<VerifyReport>, VerifyError> {
+    let dag = block.dag();
+    let mut reports: Vec<VerifyReport> = legs
+        .iter()
+        .map(|(netlist, module)| VerifyReport {
+            module: module.name().to_string(),
+            cells: netlist.cell_count(),
+            vectors: config.vectors,
+            mismatches: 0,
+            first_mismatches: Vec::new(),
+            output_bits_covered: Vec::new(),
+        })
+        .collect();
+    // Per module and output port: the bits seen as 1, and as 0.
+    let mut seen: Vec<Vec<(u32, u32)>> = legs
+        .iter()
+        .map(|(netlist, _)| vec![(0, 0); netlist.output_count()])
+        .collect();
+
+    for vector in 0..config.vectors {
+        let mut next = stimulus(config.seed.wrapping_add(vector as u64));
+        let mut inputs: BTreeMap<NodeId, u32> = BTreeMap::new();
+        for (id, op) in dag.nodes() {
+            if op.opcode() == Opcode::Input {
+                inputs.insert(id, next());
+            }
+        }
+        let mut memory = BTreeMap::new();
+        let values = interp::execute(block, &inputs, &mut memory)?;
+
+        for ((&(netlist, module), report), seen) in legs.iter().zip(&mut reports).zip(&mut seen) {
+            let ports: Vec<u32> = netlist
+                .input_nodes()
+                .iter()
+                .map(|p| values[p.index()])
+                .collect();
+            let golden = netlist.evaluate(&ports)?;
+            let simulated = module.evaluate(&ports)?;
+            if simulated.len() != golden.len() {
+                return Err(VerifyError::Sim(SimError {
+                    line: 1,
+                    message: format!(
+                        "module {} has {} output(s), netlist has {}",
+                        module.name(),
+                        simulated.len(),
+                        golden.len()
+                    ),
+                }));
+            }
+
+            for (port, &cell) in netlist.output_cells().iter().enumerate() {
+                let node = netlist.cell_nodes()[cell as usize];
+                let expected = values[node.index()];
+                seen[port].0 |= expected;
+                seen[port].1 |= !expected;
+                if golden[port] != expected || simulated[port] != expected {
+                    report.mismatches += 1;
+                    if report.first_mismatches.len() < 8 {
+                        report.first_mismatches.push(PortMismatch {
+                            vector,
+                            port,
+                            expected,
+                            netlist: golden[port],
+                            simulated: simulated[port],
+                        });
+                    }
+                }
+            }
+        }
+    }
+
+    for (report, seen) in reports.iter_mut().zip(seen) {
+        report.output_bits_covered = seen.iter().map(|&(o, z)| (o & z).count_ones()).collect();
+    }
+    Ok(reports)
+}
+
 /// Differentially tests one already-parsed module against its netlist
 /// and the whole-block interpreter.
 ///
@@ -176,74 +260,19 @@ pub fn verify_module(
     module: &VerilogModule,
     config: &VerifyConfig,
 ) -> Result<VerifyReport, VerifyError> {
-    let dag = block.dag();
-    let mut mismatches = 0usize;
-    let mut first_mismatches = Vec::new();
-    let mut ones = vec![0u32; netlist.output_count()];
-    let mut zeros = vec![0u32; netlist.output_count()];
+    let mut reports = verify_block(block, &[(netlist, module)], config)?;
+    Ok(reports.remove(0))
+}
 
-    for vector in 0..config.vectors {
-        let mut next = stimulus(config.seed.wrapping_add(vector as u64));
-        let mut inputs: BTreeMap<NodeId, u32> = BTreeMap::new();
-        for (id, op) in dag.nodes() {
-            if op.opcode() == Opcode::Input {
-                inputs.insert(id, next());
-            }
-        }
-        let mut memory = BTreeMap::new();
-        let values = interp::execute(block, &inputs, &mut memory)?;
-
-        let ports: Vec<u32> = netlist
-            .input_nodes()
-            .iter()
-            .map(|p| values[p.index()])
-            .collect();
-        let golden = netlist.evaluate(&ports)?;
-        let simulated = module.evaluate(&ports)?;
-        if simulated.len() != golden.len() {
-            return Err(VerifyError::Sim(SimError {
-                line: 1,
-                message: format!(
-                    "module {} has {} output(s), netlist has {}",
-                    module.name(),
-                    simulated.len(),
-                    golden.len()
-                ),
-            }));
-        }
-
-        for (port, &cell) in netlist.output_cells().iter().enumerate() {
-            let node = netlist.cell_nodes()[cell as usize];
-            let expected = values[node.index()];
-            ones[port] |= expected;
-            zeros[port] |= !expected;
-            if golden[port] != expected || simulated[port] != expected {
-                mismatches += 1;
-                if first_mismatches.len() < 8 {
-                    first_mismatches.push(PortMismatch {
-                        vector,
-                        port,
-                        expected,
-                        netlist: golden[port],
-                        simulated: simulated[port],
-                    });
-                }
-            }
-        }
-    }
-
-    Ok(VerifyReport {
-        module: module.name().to_string(),
-        cells: netlist.cell_count(),
-        vectors: config.vectors,
-        mismatches,
-        first_mismatches,
-        output_bits_covered: ones
-            .iter()
-            .zip(&zeros)
-            .map(|(&o, &z)| (o & z).count_ones())
-            .collect(),
-    })
+/// Extracts a cut's netlist, emits its Verilog and parses that back.
+fn build(
+    block: &BasicBlock,
+    cut: &NodeSet,
+    module_name: &str,
+) -> Result<(Netlist, VerilogModule), VerifyError> {
+    let netlist = Netlist::from_cut(block, cut)?;
+    let module = sim::parse_module(&emit_verilog(&netlist, module_name)?)?;
+    Ok((netlist, module))
 }
 
 /// Runs the full loop for one cut: extract the netlist, emit the
@@ -259,34 +288,50 @@ pub fn verify_cut(
     module_name: &str,
     config: &VerifyConfig,
 ) -> Result<VerifyReport, VerifyError> {
-    let netlist = Netlist::from_cut(block, cut)?;
-    let text = emit_verilog(&netlist, module_name)?;
-    let module = sim::parse_module(&text)?;
+    let (netlist, module) = build(block, cut, module_name)?;
     verify_module(block, &netlist, &module, config)
 }
 
 /// Verifies every ISE of a selection, using the same `ise{k}` module
-/// names as [`crate::AfuLibrary::from_selection`].
+/// names as [`crate::AfuLibrary::from_selection`], and returns the
+/// reports in ISE order.
+///
+/// The stimulus depends only on the seed and the vector, so every ISE
+/// of one block sees the same interpreter run: the interpreter runs
+/// once per (block, vector), and each ISE's netlist and Verilog legs
+/// are compared against it — the same reports [`verify_cut`] gives ISE
+/// by ISE.
 ///
 /// # Errors
 ///
-/// [`VerifyError`] when any ISE's harness fails to run. Mismatches do
-/// not abort the sweep — inspect each report's
-/// [`VerifyReport::passed`].
+/// [`VerifyError`] when any ISE's harness fails to run; blocks are
+/// verified in index order. Mismatches do not abort the sweep —
+/// inspect each report's [`VerifyReport::passed`].
 pub fn verify_selection(
     app: &Application,
     selection: &IseSelection,
     config: &VerifyConfig,
 ) -> Result<Vec<VerifyReport>, VerifyError> {
-    selection
-        .ises
-        .iter()
-        .enumerate()
-        .map(|(k, ise)| {
-            let block = &app.blocks()[ise.block_index];
-            verify_cut(block, ise.cut.nodes(), &format!("ise{k}"), config)
-        })
-        .collect()
+    let mut by_block: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+    for (k, ise) in selection.ises.iter().enumerate() {
+        by_block.entry(ise.block_index).or_default().push(k);
+    }
+    let mut reports = vec![None; selection.ises.len()];
+    for (index, ises) in by_block {
+        let block = &app.blocks()[index];
+        let built = ises
+            .iter()
+            .map(|&k| build(block, selection.ises[k].cut.nodes(), &format!("ise{k}")))
+            .collect::<Result<Vec<_>, _>>()?;
+        let legs: Vec<_> = built
+            .iter()
+            .map(|(netlist, module)| (netlist, module))
+            .collect();
+        for (k, report) in ises.into_iter().zip(verify_block(block, &legs, config)?) {
+            reports[k] = Some(report);
+        }
+    }
+    Ok(reports.into_iter().flatten().collect())
 }
 
 #[cfg(test)]

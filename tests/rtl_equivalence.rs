@@ -68,6 +68,38 @@ fn every_registry_selection_is_equivalent_on_small_and_medium_tiers() {
 }
 
 #[test]
+fn grouped_selection_verification_equals_per_ise_verification() {
+    // `verify_selection` runs the interpreter once per (block, vector)
+    // and shares it among the block's ISEs; each report must be exactly
+    // the one `verify_cut` gives for that ISE alone.
+    let model = LatencyModel::paper_default();
+    let config = VerifyConfig {
+        vectors: vectors_per_module(),
+        ..VerifyConfig::default()
+    };
+    let mut shared = 0usize;
+    for spec in workloads_in_tiers(&[SizeTier::Small, SizeTier::Medium]) {
+        let app = spec.application();
+        let selection = Generator::new(IseConfig::paper_default()).run(&app, &model);
+        let grouped = verify_selection(&app, &selection, &config)
+            .unwrap_or_else(|e| panic!("{}: harness failed: {e}", spec.name));
+        assert_eq!(grouped.len(), selection.ises.len(), "{}", spec.name);
+        for (k, (ise, report)) in selection.ises.iter().zip(&grouped).enumerate() {
+            let block = &app.blocks()[ise.block_index];
+            let alone = verify_cut(block, ise.cut.nodes(), &format!("ise{k}"), &config)
+                .unwrap_or_else(|e| panic!("{}/ise{k}: harness failed: {e}", spec.name));
+            assert_eq!(report, &alone, "{}/ise{k}", spec.name);
+        }
+        let mut blocks: Vec<usize> = selection.ises.iter().map(|ise| ise.block_index).collect();
+        blocks.sort_unstable();
+        shared += usize::from(blocks.windows(2).any(|pair| pair[0] == pair[1]));
+    }
+    // Grouping only matters where a block holds several ISEs; the
+    // corpus must exercise that case.
+    assert!(shared > 0, "no selection put two ISEs in one block");
+}
+
+#[test]
 fn hand_constrained_cuts_are_equivalent_across_io_budgets() {
     // Tighter and looser I/O budgets than the paper default exercise
     // cut shapes `generate` would not pick on its own.
